@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core import Deployment, RunResult
+from ..core import Deployment, RunResult, lpt_makespan_ns
 from ..core.manual_partitions import MANUAL_PARTITIONS
 from ..sim import (
     CAT_CHANNEL_CRYPTO,
@@ -114,16 +114,6 @@ def run_tpch_suite(
 # ---------------------------------------------------------------------------
 
 
-def _lpt(durations: list[float], workers: int) -> float:
-    if not durations:
-        return 0.0
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        index = min(range(len(loads)), key=loads.__getitem__)
-        loads[index] += duration
-    return max(loads)
-
-
 def recost_split(
     result: RunResult,
     cost_model: CostModel,
@@ -142,7 +132,7 @@ def recost_split(
         ).total_ns
         for m in result.portion_meters
     ]
-    wall_ns = _lpt(portion_ns, cpus)
+    wall_ns = lpt_makespan_ns(portion_ns, cpus)
     channel_ns = result.storage_meter.channel_bytes_encrypted * cost_model.channel_crypto_ns_per_byte
     transfer_ns = cost_model.net_transfer_ns(
         result.bytes_shipped, messages=max(1, result.bytes_shipped // 65536)

@@ -22,6 +22,7 @@ from .deployment import (
     Deployment,
     RunResult,
     StorageNode,
+    lpt_makespan_ns,
 )
 from .host_engine import HostEngine
 from .manual_partitions import MANUAL_PARTITIONS
@@ -67,6 +68,7 @@ __all__ = [
     "VCS",
     "channel_pair",
     "decompose_aggregate",
+    "lpt_makespan_ns",
     "pruning_for_scan",
     "statement_shape",
 ]

@@ -96,19 +96,22 @@ class Client:
                     query_digest=auth.proof.query_digest.hex()
                 )
 
-            if auth.storage_node is not None:
-                result: RunResult = deployment.run_query(
-                    auth.statement.to_sql(), "scs", authorization=auth
-                )
-            else:
-                # Host-only fallback (no compliant storage node).
-                result = deployment.run_query(auth.statement.to_sql(), "hos")
+            try:
+                if auth.storage_node is not None:
+                    result: RunResult = deployment.run_query(
+                        auth.statement.to_sql(), "scs", authorization=auth
+                    )
+                else:
+                    # Host-only fallback (no compliant storage node).
+                    result = deployment.run_query(auth.statement.to_sql(), "hos")
+            finally:
+                # The client opened the session, so the client closes it —
+                # a failed query must not leave a live session key behind.
+                # finish_session appends the session-close audit entry; the
+                # monitor's tracer hook annotates the open root with its hash.
+                deployment.monitor.finish_session(auth.session.session_id)
             breakdown = result.breakdown.copy().merge(monitor_breakdown)
             rows, columns = result.rows, result.columns
-
-            # finish_session appends the session-close audit entry; the
-            # monitor's tracer hook annotates the open root with its hash.
-            deployment.monitor.finish_session(auth.session.session_id)
             root.set_sim_ns(breakdown.total_ns)
             root.set_attrs(
                 rows=len(rows),

@@ -1,5 +1,5 @@
 """The five system configurations of the evaluation (paper Table 2),
-plus the :class:`RunConfig` execution knobs for the ship path."""
+plus :class:`RunConfig`, the per-query execution options."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from ..errors import IronSafeError
 from ..oblivious import TIERS
+from ..sql import ExecOptions
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,33 @@ STRATEGIES = ("manual", "auto")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Ship-path execution knobs for the split configurations (vcs/scs).
+    """How one query runs: its ship form, and how its statements execute.
 
-    ``RunConfig()`` selects the streaming pipeline: bounded RecordBatches
-    off the operator iterator, overlapped (storage scan | channel crypto |
-    host ingest) time accounting, and optionally transparent per-batch
-    zlib compression before channel encryption.  ``pipeline=False`` is
-    the escape hatch back to the calibrated materialize-then-ship path —
-    byte- and simulated-nanosecond-identical to the paper baseline, and
-    the default for a :class:`~repro.core.deployment.Deployment` built
-    without an explicit run config (so every figure reproduction keeps
-    its calibration).
+    A value, passed per query (``run_query(..., run_config=...)``) or fixed
+    for a deployment; the engines keep no such state between queries — the
+    runner hands them :attr:`exec_options` with every call.
+
+    The vcs/scs runner (``Deployment._run_split``; docs/performance.md has
+    what each stage charges) goes partition → admit → per-node channels →
+    for each ship: route → on each target node: scan-and-ship → host run →
+    per-node wall → arbiter → breakdown.  Only the scan-and-ship stage has
+    two forms, picked by ``pipeline``:
+
+    * ``pipeline=False`` — *record-framed*: materialize the scan, ship
+      ``RECORD_ROWS``-row records, ingest the table.  Nothing overlaps.
+      This is the paper's calibrated path and what a
+      :class:`~repro.core.deployment.Deployment` built without a run
+      config uses, so every figure reproduction keeps its calibration.
+    * ``pipeline=True`` (``RunConfig()``) — *streaming*: bounded
+      RecordBatches off the operator iterator, with scan | channel crypto
+      | host ingest overlapped per batch (optionally zlib-compressed
+      before encryption).  Under ``oblivious="full"`` the scan is drained
+      before anything ships, because interleaving sends with reads would
+      leak match positions through event order.
+
+    Both forms, every other field and all five configurations are pinned
+    to the numbers the code produced before the runner was unified by
+    ``tests/golden/split_runner.json``.
     """
 
     pipeline: bool = True
@@ -56,20 +73,19 @@ class RunConfig:
     compress_level: int = 6
     #: Consult authenticated zone maps to skip pages a sargable filter
     #: provably cannot match (skip-scans).  Off by default: the seed scan
-    #: path reads every page, and zone_maps=False is asserted byte- and
-    #: simulated-ns-identical to it.  Synopses are *maintained* either
-    #: way; this knob only gates scan-time consultation.  Note the
-    #: trade-off documented in docs/performance.md: data-dependent
-    #: skipping makes the page-access pattern a function of the query
-    #: predicate, which an adversary observing the device can exploit.
+    #: path reads every page.  Synopses are *maintained* either way; this
+    #: only gates scan-time consultation.  Note the trade-off documented
+    #: in docs/performance.md: data-dependent skipping makes the
+    #: page-access pattern a function of the query predicate, which an
+    #: adversary observing the device can exploit.
     zone_maps: bool = False
-    #: Oblivious-execution tier: ``off`` (the seed behaviour, asserted
-    #: byte-identical), ``padded`` (page-read schedules padded to fixed
-    #: predicate-independent shapes, channel frames padded to fixed
-    #: ciphertext sizes) or ``full`` (additionally fixes the shipped
-    #: frame *count* from catalog statistics and swaps hash join /
-    #: group-by for oblivious bitonic-shuffle variants, making the whole
-    #: observable trace byte-identical across predicate constants).  See
+    #: Oblivious-execution tier: ``off`` (the seed behaviour), ``padded``
+    #: (page-read schedules padded to fixed predicate-independent shapes,
+    #: channel frames padded to fixed ciphertext sizes) or ``full``
+    #: (additionally fixes the shipped frame *count* from catalog
+    #: statistics and swaps hash join / group-by for oblivious
+    #: bitonic-shuffle variants, making the whole observable trace
+    #: byte-identical across predicate constants).  See
     #: ``repro.oblivious`` and docs/performance.md for the measured
     #: (sim-time, leakage) ladder.
     oblivious: str = "off"
@@ -77,13 +93,11 @@ class RunConfig:
     #: column batches (``repro.sql.vector``) instead of single tuples,
     #: with selection-vector filters and per-batch amortized CPU charges
     #: (``CostModel.vector_batch_ns`` / ``vector_value_ns``).  Off by
-    #: default — the seed row path, asserted byte- and simulated-ns-
-    #: identical across all five configurations.  Composes with
-    #: ``zone_maps`` (morsel scans keep the pruned page schedule) and
-    #: with the oblivious tiers (the ``full`` tier's bitonic join /
-    #: group-by stay row-oblivious above vectorized scans and filters,
-    #: and the fixed ship schedule re-batches morsel output rather than
-    #: being bypassed).
+    #: default — the seed row path.  Composes with ``zone_maps`` (morsel
+    #: scans keep the pruned page schedule) and with the oblivious tiers
+    #: (the ``full`` tier's bitonic join / group-by stay row-oblivious
+    #: above vectorized scans and filters, and the fixed ship schedule
+    #: re-batches morsel output rather than being bypassed).
     vectorized: bool = False
     #: How the hons/hos/vcs/scs/sos configuration is chosen.  ``manual``
     #: (the default, and the only mode a single-node
@@ -96,6 +110,16 @@ class RunConfig:
     #: the argmin, and emits the chosen plan with its predicted-vs-actual
     #: cost into the ``offload_plan`` telemetry span.
     strategy: str = "manual"
+
+    @property
+    def exec_options(self) -> ExecOptions:
+        """The per-statement slice of this config, handed to the engines
+        with every call (they keep no such state between queries)."""
+        return ExecOptions(
+            zone_maps=self.zone_maps,
+            oblivious=self.oblivious,
+            vectorized=self.vectorized,
+        )
 
     def __post_init__(self) -> None:
         if self.batch_bytes <= 0:

@@ -10,11 +10,13 @@ returning simulated-time breakdowns and resource meters.
 
 from __future__ import annotations
 
+import datetime
 import math
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 from ..crypto import Rng, sha256
-from ..errors import IronSafeError, MonitorError
+from ..errors import IntegrityError, IronSafeError, MonitorError
 from ..monitor import AttestationService, AttestedNode, ComplianceProof, TrustedMonitor
 from ..oblivious import (
     ShipSchedule,
@@ -62,6 +64,7 @@ from ..telemetry import (
     SPAN_QUERY,
     SPAN_SCHEDULER,
     SPAN_SESSION_SETUP,
+    SPAN_SHARD_ROUTE,
     SPAN_SHIP_BATCH,
     SPAN_STORAGE_PHASE,
     Tracer,
@@ -137,20 +140,76 @@ class RunResult:
 
 @dataclass
 class StorageNode:
-    """One additional storage server of a sharded deployment.
+    """One storage server: the only one, or one shard of several.
 
-    Each node is provisioned exactly like the primary: its own TrustZone
-    device (so its own secure-boot state, RPMB anchor and master-key
-    domain), its own NVMe block devices, and its own secure/plain engine
-    pair.  Integrity violations on its pager are attributed to its
-    ``node_id`` in the monitor's audit chain.
+    Every node is provisioned alike: its own TrustZone device (so its own
+    secure-boot state, RPMB anchor and master-key domain), its own NVMe
+    block devices, and its own secure/plain engine pair.  Integrity
+    violations on its pager are attributed to its ``node_id`` in the
+    monitor's audit chain.
     """
 
     node_id: str
+    #: The node's name on the network link (what the channel adversary
+    #: sees as the record's sender).
+    endpoint: str
     engine: StorageEngine
     engine_plain: StorageEngine
     secure_device: BlockDevice
     plain_device: BlockDevice
+
+
+@dataclass
+class _SplitRun:
+    """What the stages of one vcs/scs run share (see ``Deployment._run_split``)."""
+
+    run_config: RunConfig
+    secure: bool
+    in_realm: bool
+    memory: int
+    #: The ships are hand-written SQL, not planned table scans.
+    manual: bool
+    host_meter: Meter
+    #: Per storage node: the engine this run drives, the meter its channel
+    #: crypto lands on, and (scs only) the (host end, node end) channel.
+    engines: list[StorageEngine]
+    ship_meters: list[Meter]
+    channels: list[tuple | None]
+
+
+@dataclass
+class _Shipped:
+    """One portion scanned on one node and shipped to the host."""
+
+    node: int
+    #: The portion's own scan meter (re-costed by the CPU/memory sweeps).
+    meter: Meter
+    #: Bytes and RecordBatches put on the wire (record framing counts no
+    #: batches: its message count is derived from the byte total).
+    nbytes: int
+    batches: int
+    #: The portion's slot in its node's CPU schedule, and what the same
+    #: work costs with no overlap (equal when nothing overlaps).
+    duration_ns: float
+    serial_ns: float
+    #: Host ingest already overlapped into the storage phase (streaming).
+    ingest: TimeBreakdown
+
+
+def lpt_makespan_ns(durations_ns: list[float], workers: int) -> float:
+    """Longest-processing-time schedule of serial portions onto CPUs.
+
+    Each offloaded statement runs single-threaded (one SQLite-like
+    instance per split portion); extra storage CPUs only help by
+    running different portions concurrently.
+    """
+    if not durations_ns:
+        return 0.0
+    loads = [0.0] * max(1, workers)
+    for duration in sorted(durations_ns, reverse=True):
+        index = min(range(len(loads)), key=loads.__getitem__)
+        loads[index] += duration
+    return max(loads)
 
 
 @dataclass
@@ -330,7 +389,19 @@ class Deployment:
         self._obsv: ObservableRecorder | None = None
         # Storage-side integrity failures are reported to the monitor so
         # tampering attempts land in the hash-chained operations log.
-        self.storage_engine.pager.on_violation = self._storage_violation
+        self.storage_engine.pager.on_violation = self._node_violation("storage-1")
+        #: Every storage server, primary first.  All query paths iterate
+        #: this list; the single-node testbed is the one-element case.
+        self.nodes: list[StorageNode] = [
+            StorageNode(
+                node_id="storage-1",
+                endpoint="storage",
+                engine=self.storage_engine,
+                engine_plain=self.storage_engine_plain,
+                secure_device=self.secure_device,
+                plain_device=self.plain_device,
+            )
+        ]
         self._bind_tracer()
 
     # ------------------------------------------------------------------
@@ -341,8 +412,9 @@ class Deployment:
         """Propagate the deployment's tracer to every instrumented layer."""
         self.monitor.tracer = self.tracer
         self.host_engine.tracer = self.tracer
-        self.storage_engine.tracer = self.tracer
-        self.storage_engine_plain.tracer = self.tracer
+        for node in self.nodes:
+            node.engine.tracer = self.tracer
+            node.engine_plain.tracer = self.tracer
         # Re-attach the observable-event recorder when the tracer changes
         # out from under it.  Only ever on an *enabled* tracer: NOOP_TRACER
         # is a shared singleton, and hanging a recorder off it would leak
@@ -382,8 +454,9 @@ class Deployment:
         )
         self._obsv = recorder
         self.tracer.obsv = recorder
-        self.secure_device.obsv = recorder
-        self.plain_device.obsv = recorder
+        for node in self.nodes:
+            node.secure_device.obsv = recorder
+            node.plain_device.obsv = recorder
         return recorder
 
     # ------------------------------------------------------------------
@@ -393,31 +466,28 @@ class Deployment:
     def enable_page_cache(self, capacity_pages: int) -> None:
         """Install the in-enclave decrypted-page cache on the storage side.
 
-        Applies to the secure storage engine (and, through
+        Applies to every secure storage engine (and, through
         ``page_cache_pages``, to host-side secure pagers opened for the
         host-only configuration).  With the cache off — the default — every
         read pays the full MAC + Merkle + freshness chain, byte-identical
         to the paper baseline.
         """
         self.page_cache_pages = capacity_pages
-        self.storage_engine.enable_page_cache(capacity_pages)
+        for node in self.nodes:
+            node.engine.enable_page_cache(capacity_pages)
 
     def disable_page_cache(self) -> None:
         """Flush and drop the cache, restoring verify-every-read behavior."""
         self.page_cache_pages = 0
-        self.storage_engine.disable_page_cache()
-
-    def _storage_violation(self, pgno: int, reason: str) -> None:
-        """Secure-pager hook: audit integrity failures before they raise."""
-        self.monitor.record_integrity_violation("storage-1", pgno, reason)
-        self._flight_dump("storage-1", pgno, reason)
+        for node in self.nodes:
+            node.engine.disable_page_cache()
 
     def _node_violation(self, node_id: str):
-        """Violation hook bound to one storage node's identity.
+        """Secure-pager hook bound to one node's identity: audit integrity
+        failures before they raise.
 
-        Sharded deployments install one per shard, so a tampered page is
-        attributed to the owning node in the audit chain and the flight
-        recorder's incident report.
+        One per pager, so a tampered page is attributed to the owning node
+        in the audit chain and the flight recorder's incident report.
         """
 
         def hook(pgno: int, reason: str) -> None:
@@ -426,10 +496,15 @@ class Deployment:
 
         return hook
 
-    def _host_violation(self, pgno: int, reason: str) -> None:
-        """Host-side pager hook (host-only secure configuration)."""
-        self.monitor.record_integrity_violation("host-1", pgno, reason)
-        self._flight_dump("host-1", pgno, reason)
+    @contextmanager
+    def _attributed(self, node_id: str):
+        """Re-raise integrity failures tagged with the node they came from."""
+        try:
+            yield
+        except IntegrityError as exc:
+            if node_id in str(exc):
+                raise
+            raise type(exc)(f"shard {node_id}: {exc}") from exc
 
     def _flight_dump(self, node: str, pgno: int, reason: str) -> None:
         """Dump one flight-recorder incident for a just-audited violation.
@@ -505,6 +580,7 @@ class Deployment:
             plain_device.obsv = self._obsv
         return StorageNode(
             node_id=node_id,
+            endpoint=node_id,
             engine=engine,
             engine_plain=engine_plain,
             secure_device=secure_device,
@@ -516,7 +592,7 @@ class Deployment:
     # ------------------------------------------------------------------
 
     def attest_all(self) -> dict[str, AttestedNode]:
-        """Run both attestation protocols and register the nodes."""
+        """Run both attestation protocols and register every node."""
         with self.tracer.maybe_root(
             SPAN_ATTESTATION, node=NODE_MONITOR, enclave=True
         ) as span:
@@ -528,11 +604,14 @@ class Deployment:
             self.monitor.register_host(host_node)
 
             storage_node = self.attest_storage_node(self.storage_engine)
+            attested = {"host": host_node, "storage": storage_node}
+            for node in self.nodes[1:]:
+                attested[node.node_id] = self.attest_storage_node(node.engine)
             self._attested = True
             span.set_attrs(
                 host=host_node.config.node_id, storage=storage_node.config.node_id
             )
-            return {"host": host_node, "storage": storage_node}
+            return attested
 
     def attest_storage_node(self, engine: StorageEngine) -> AttestedNode:
         """Attest one storage engine and register it with the monitor.
@@ -633,28 +712,21 @@ class Deployment:
         with self.tracer.maybe_root(
             SPAN_QUERY, node=NODE_CLIENT, config=config, sql=sql
         ) as root:
-            if config == "hons":
-                result = self._run_host_only(
-                    statement, secure=False, run_config=run_config
-                )
-            elif config == "hos":
-                result = self._run_host_only(
-                    statement, secure=True, run_config=run_config
-                )
-            elif config == "vcs":
+            secure = CONFIGS[config].secure
+            if CONFIGS[config].split_execution:
                 result = self._run_split(
-                    statement, secure=False, cpus=cpus, memory=memory,
-                    manual=manual_partition, run_config=run_config,
-                )
-            elif config == "scs":
-                result = self._run_split(
-                    statement, secure=True, cpus=cpus, memory=memory,
-                    manual=manual_partition, authorization=authorization,
+                    statement, secure=secure, cpus=cpus, memory=memory,
+                    manual=manual_partition,
+                    authorization=authorization if secure else None,
                     run_config=run_config,
                 )
-            else:
+            elif config == "sos":
                 result = self._run_storage_only(
                     statement, cpus=cpus, memory=memory, run_config=run_config
+                )
+            else:
+                result = self._run_host_only(
+                    statement, secure=secure, run_config=run_config
                 )
             root.set_sim_ns(result.breakdown.total_ns)
             root.set_attrs(rows=len(result.rows), bytes_shipped=result.bytes_shipped)
@@ -731,42 +803,30 @@ class Deployment:
                 if cfg == "scs":
                     if not self._attested:
                         self.attest_all()
-                    statement = parse(sql)
-                    if not isinstance(statement, A.Select):
-                        raise IronSafeError(
-                            "the evaluation harness runs SELECT statements"
-                        )
                     clock_before = self.clock.breakdown.copy()
-                    auth = self.monitor.authorize(
-                        self.database_name,
-                        client_key=(
-                            client_key if client_key is not None
-                            else self._client_fingerprint()
-                        ),
-                        statement=statement,
-                        host_id="host-1",
-                        now=0,
-                        query_text=sql,
-                    )
+                    auth = self._admit(self.parse_select(sql), sql, client_key)
                     monitor_breakdown = self.clock.breakdown.minus(clock_before)
                     session_id = auth.session.session_id
                     key_digest = sha256(auth.session.key).hex()[:16]
                     proof = auth.proof
                     if obsv is not None:
                         obsv.session = session_id
-                    result = self.run_query(
-                        auth.statement.to_sql(), cfg, authorization=auth
-                    )
+                    try:
+                        result = self.run_query(
+                            auth.statement.to_sql(), cfg, authorization=auth
+                        )
+                    finally:
+                        # Closing the session revokes its key and appends
+                        # the session-close entry to the operations audit
+                        # chain — the next session starts from a clean key
+                        # space, whether or not this one succeeded.
+                        self.monitor.finish_session(session_id)
+                        if obsv is not None:
+                            # The close entry lands after the query window:
+                            # fold it into the session's completed trace.
+                            obsv.adopt_pending(obsv.last_trace())
                     result.breakdown.merge(monitor_breakdown)
                     result.monitor_breakdown.merge(monitor_breakdown)
-                    # Closing the session revokes its key and appends the
-                    # session-close entry to the operations audit chain —
-                    # the next session starts from a clean key space.
-                    self.monitor.finish_session(session_id)
-                    if obsv is not None:
-                        # The close entry lands after the query window:
-                        # fold it into the session's completed trace.
-                        obsv.adopt_pending(obsv.last_trace())
                 else:
                     result = self.run_query(sql, cfg)
                 if obsv is not None:
@@ -819,53 +879,34 @@ class Deployment:
     # -- host-only (hons / hos) ---------------------------------------------
 
     def _host_only_db(
-        self,
-        secure: bool,
-        engine: StorageEngine | None = None,
-        plain_device: BlockDevice | None = None,
-        rng_label: str = "host-pager",
+        self, secure: bool, node: StorageNode, rng_label: str = "host-pager"
     ):
-        """Open the shared device from the host side (NFS-style).
+        """Open *node*'s device from the host side (NFS-style).
 
         Opened fresh per run so the host sees the storage engine's latest
         catalog and integrity tree; the setup cost (tree rebuild + anchor
-        check) happens against a throwaway meter.  Sharded deployments
-        pass each node's *engine* (whose device, master key and anchor
-        the host-side pager then shares) plus a per-node *rng_label*.
+        check) happens against a throwaway meter, and the run's own meter
+        is installed on every layer before returning (db, pager, meter).
+        The host-side secure pager shares the node's device, master key and
+        anchor.
         """
-        if engine is None:
-            engine = self.storage_engine
-        if plain_device is None:
-            plain_device = self.plain_device
         if secure:
-            master_key = engine.trusted_os.invoke(
+            master_key = node.engine.trusted_os.invoke(
                 "secure-storage", "get_master_key"
             )
             pager = SecurePager(
-                engine.block_device,
+                node.engine.block_device,
                 master_key,
-                _SharedAnchor(engine),
+                _SharedAnchor(node.engine),
                 self.rng.fork(rng_label),
                 meter=Meter(),
                 cipher=self._cipher,
                 cache_pages=self.page_cache_pages,
             )
-            pager.on_violation = self._host_violation
+            pager.on_violation = self._node_violation("host-1")
         else:
-            pager = Pager(plain_device, meter=Meter())
-        return Database(PagedStore(pager, Meter())), pager
-
-    def _run_host_only(
-        self,
-        statement: A.Select,
-        secure: bool,
-        run_config: RunConfig | None = None,
-    ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        db, pager = self._host_only_db(secure)
-        db.set_zone_maps(run_config.zone_maps)
-        db.set_oblivious(run_config.oblivious)
-        db.set_vectorized(run_config.vectorized)
+            pager = Pager(node.plain_device, meter=Meter())
+        db = Database(PagedStore(pager, Meter()))
         db.tracer = self.tracer
         meter = Meter()
         db.store.meter = meter
@@ -874,17 +915,26 @@ class Deployment:
             pager.tree.meter = meter
             pager.tracer = self.tracer
             pager.trace_node = NODE_HOST
+        return db, pager, meter
 
+    @staticmethod
+    def _charge_enclave_paging(meter: Meter, pager) -> None:
+        """Every page fetch exits/re-enters the enclave, and the Merkle tree
+        is resident in enclave memory for the whole run (hos only)."""
+        meter.enclave_transitions += 2 * meter.pages_read
+        meter.peak_memory_bytes += pager.tree_size_bytes()
+
+    def _run_host_only(
+        self, statement: A.Select, secure: bool, run_config: RunConfig
+    ) -> RunResult:
+        db, pager, meter = self._host_only_db(secure, self.nodes[0])
         with self.tracer.span(
             SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure
         ) as exec_span:
-            result = db.execute_statement(statement)
+            result = db.execute_statement(statement, options=run_config.exec_options)
 
         if secure:
-            # Every page fetch exits/re-enters the enclave, and the Merkle
-            # tree is resident in enclave memory for the whole run.
-            meter.enclave_transitions += 2 * meter.pages_read
-            meter.peak_memory_bytes += pager.tree_size_bytes()
+            self._charge_enclave_paging(meter, pager)
         breakdown = self.cost_model.phase_breakdown(
             meter,
             platform="x86",
@@ -905,25 +955,7 @@ class Deployment:
     # -- split execution (vcs / scs) -----------------------------------------
 
     @staticmethod
-    def _lpt_makespan(durations_ns: list[float], workers: int) -> float:
-        """Longest-processing-time schedule of serial scans onto CPUs.
-
-        Each offloaded statement runs single-threaded (one SQLite-like
-        instance per split portion); extra storage CPUs only help by
-        running different portions concurrently.
-        """
-        if not durations_ns:
-            return 0.0
-        loads = [0.0] * max(1, workers)
-        for duration in sorted(durations_ns, reverse=True):
-            index = min(range(len(loads)), key=loads.__getitem__)
-            loads[index] += duration
-        return max(loads)
-
-    @staticmethod
     def _infer_column_types(columns: list[str], rows: list[tuple]) -> list[tuple[str, str]]:
-        import datetime
-
         types = []
         for i, name in enumerate(columns):
             type_name = "TEXT"
@@ -942,6 +974,12 @@ class Deployment:
         return types
 
     @staticmethod
+    def _scan_column_types(engine: StorageEngine, scan) -> list[tuple[str, str]]:
+        """Declared types of a planned scan's output columns."""
+        schema = engine.db.store.catalog.table(scan.table)
+        return [(name, schema.column_type(name)) for name in scan.columns]
+
+    @staticmethod
     def _ship_schedule(
         engine,
         table_name: str,
@@ -955,6 +993,9 @@ class Deployment:
         on the predicate — so the resulting channel trace shape is
         identical for any two queries over the same table that differ
         only in their constants (the oblivious ``full`` tier contract).
+        Each node bounds against its *own* catalog, so its channel trace
+        is predicate-independent on its own — traces of different nodes
+        never need cross-correlation.
         """
         schema = engine.db.store.catalog.table(table_name)
         payload_bytes = len(schema.pages) * engine.pager.payload_size
@@ -963,211 +1004,219 @@ class Deployment:
         assert batch_bytes is not None
         return batch_schedule(schema.row_count, payload_bytes, batch_bytes)
 
+    def _admit(self, statement: A.Select, query_text: str, client_key: str | None = None):
+        """The monitor's admission path for one scs request.
+
+        Attests on first use, then has the monitor check the request and
+        open a session; whoever calls this owes the matching
+        ``finish_session``.
+        """
+        if not self._attested:
+            self.attest_all()
+        return self.monitor.authorize(
+            self.database_name,
+            client_key=(
+                client_key if client_key is not None else self._client_fingerprint()
+            ),
+            statement=statement,
+            host_id="host-1",
+            now=0,
+            query_text=query_text,
+        )
+
+    def _usable_manual(self, manual):
+        """The hand-written partition this deployment can run as given (or
+        ``None``: plan automatically), plus the plan notes saying why not."""
+        return manual, []
+
+    def _route_ship(self, ship, manual, run_config: RunConfig, stores):
+        """Indices of the nodes one ship must visit, and how many it could
+        skip: the one storage server holds everything."""
+        return [0], 0
+
+    def _storage_cost(self, meter: Meter, run: _SplitRun) -> TimeBreakdown:
+        """Price storage-side work: one single-threaded ARM engine instance."""
+        return self.cost_model.phase_breakdown(
+            meter, platform="arm", cores=1,
+            memory_limit_bytes=run.memory, in_realm=run.in_realm,
+        )
+
+    def _shard_attrs(self, node: StorageNode) -> dict:
+        """Span attribute naming the shard — only where there is a choice."""
+        return {"shard": node.node_id} if len(self.nodes) > 1 else {}
+
     def _run_split(
         self, statement: A.Select, secure: bool, cpus: int, memory: int,
-        manual=None, authorization=None, run_config: RunConfig | None = None,
+        manual, authorization, run_config: RunConfig,
     ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        if run_config.pipeline:
-            return self._run_split_pipelined(
-                statement, secure=secure, cpus=cpus, memory=memory,
-                run_config=run_config, manual=manual, authorization=authorization,
-            )
-        engine = self.storage_engine if secure else self.storage_engine_plain
-        # Every query path sets this explicitly from its run config, so the
-        # knob never leaks from one query into the next.
-        engine.set_zone_maps(run_config.zone_maps)
-        engine.set_oblivious(run_config.oblivious)
-        engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
-        if manual is not None:
-            plan = None
-        else:
+        """The vcs/scs runner: offloaded scans near the data, the rest on the host.
+
+        Stages, over however many storage nodes there are: partition the
+        query (or take the hand-written split) → admit it at the monitor
+        (scs) → open the host session and one channel per node → for each
+        ship, route it, and on each target node scan and ship (one of two
+        wire forms, by ``run_config.pipeline``) → run the host statement →
+        price each node's wall time, overlap the nodes through the
+        arbiter, and assemble the breakdown.  docs/performance.md says
+        what each stage charges.
+        """
+        options = run_config.exec_options
+        pipelined = run_config.pipeline
+        sharded = len(self.nodes) > 1
+        shards = {"shards": len(self.nodes)} if sharded else {}
+
+        manual, notes = self._usable_manual(manual)
+        plan = None
+        if manual is None:
             with self.tracer.span(SPAN_PARTITION, node=NODE_HOST) as part_span:
                 plan = self.partitioner.partition(statement)
                 part_span.set_attrs(scans=len(plan.scans))
-
-        clock_before = self.clock.breakdown.copy()
-        session_key = self.rng.fork("adhoc-session").bytes(32)
-        if secure:
-            if not self._attested:
-                self.attest_all()
-            # The monitor admits the request and opens the session (unless
-            # a client already carried out the control path and passed the
-            # resulting authorization in).
-            auth = authorization
-            if auth is None:
-                auth = self.monitor.authorize(
-                    self.database_name,
-                    client_key=self._client_fingerprint(),
-                    statement=statement,
-                    host_id="host-1",
-                    now=0,
-                    query_text=statement.to_sql(),
-                )
-            if manual is None:
-                statement = auth.statement
-            session_key = auth.session.key
-        monitor_breakdown = self.clock.breakdown.minus(clock_before)
-
-        host_meter = self.host_engine.fresh_meter()
-        ship_meter = Meter()
-
-        self.host_engine.begin_session()
-        if secure:
-            chan_host, chan_storage = channel_pair(
-                self.link, "host", "storage", session_key, host_meter, ship_meter,
-                tracer=self.tracer,
-            )
-
-        # Storage phase: run every offloaded portion with its own meter so
-        # portions can be scheduled across the storage CPUs.
-        from ..sql.records import encode_row
-
-        total_bytes = 0
-        scan_durations: list[float] = []
-        portion_meters: list[Meter] = []
-        storage_meter = Meter()
         ships = manual.ships if manual is not None else plan.scans
-        in_realm = secure and self.armv9_realms
-        phase_ctx = self.tracer.span(
-            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm, portions=len(ships)
-        )
-        phase_span = phase_ctx.__enter__()
-        for ship in ships:
-            portion_meter = engine.fresh_meter()
-            portion_meters.append(portion_meter)
-            with self.tracer.span(
-                SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm, table=ship.table
-            ) as portion_span:
-                if manual is not None:
-                    result = engine.db.execute(ship.sql)
-                    columns, rows = result.columns, result.rows
-                    encoded = [encode_row(r) for r in rows]
-                    nbytes = sum(map(len, encoded))
-                    portion_meter.note_memory(nbytes)
-                    table_name = ship.table
-                    column_types = self._infer_column_types(columns, rows)
-                else:
-                    columns, rows, nbytes, encoded = engine.execute_scan(ship)
-                    table_name = ship.table
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
-                total_bytes += nbytes
-                portion_breakdown = self.cost_model.phase_breakdown(
-                    portion_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-                    in_realm=in_realm,
-                )
-                scan_durations.append(portion_breakdown.total_ns)
-                storage_meter.merge(portion_meter)
-                if secure:
-                    shipped_before = ship_meter.channel_bytes_encrypted
-                    with self.tracer.span(
-                        SPAN_CHANNEL_SHIP, node=NODE_STORAGE, table=table_name
-                    ) as ship_span:
-                        # Really push the bytes through the authenticated
-                        # channel (record framing mirrors the host's ingest
-                        # batching).  Rows were serialized once by the scan;
-                        # the ship loop only concatenates the slices.  The
-                        # receiver ingests rows out of band, so padded
-                        # records need no unwrap on the host side.
-                        schedule = None
-                        if fixed_ship_schedule(run_config.oblivious):
-                            schedule = self._ship_schedule(
-                                engine, table_name, record_rows=RECORD_ROWS
-                            )
-                        records = 0
-                        for start in range(0, max(1, len(rows)), RECORD_ROWS):
-                            payload = b"".join(encoded[start : start + RECORD_ROWS])
-                            if pads_channel(run_config.oblivious):
-                                raw = len(payload)
-                                payload = pad_frame(
-                                    payload,
-                                    target=(
-                                        schedule.frame_bytes if schedule else None
-                                    ),
-                                )
-                                ship_meter.bump(
-                                    "oblivious_pad_bytes", len(payload) - raw
-                                )
-                            chan_storage.send(payload, charge_time=False)
-                            chan_host.receive()
-                            records += 1
-                        if schedule is not None:
-                            # Top the record count up to the table's
-                            # predicate-independent bound with dummies, so
-                            # the channel trace length is fixed too.
-                            for _ in range(max(0, schedule.units - records)):
-                                filler = dummy_frame(schedule.frame_bytes)
-                                ship_meter.bump("oblivious_dummy_batches")
-                                ship_meter.bump("oblivious_pad_bytes", len(filler))
-                                chan_storage.send(filler, charge_time=False)
-                                chan_host.receive()
-                    shipped = ship_meter.channel_bytes_encrypted - shipped_before
-                    ship_span.set_sim_ns(
-                        shipped * self.cost_model.channel_crypto_ns_per_byte
+
+        with ExitStack() as cleanup:
+            clock_before = self.clock.breakdown.copy()
+            auth = authorization
+            if secure:
+                if auth is None:
+                    # A session the runner opens is the runner's to close,
+                    # on failure too; one a client carried out the control
+                    # path for and passed in stays the client's.
+                    auth = self._admit(statement, statement.to_sql())
+                    cleanup.callback(
+                        self.monitor.finish_session, auth.session.session_id
                     )
-                    ship_span.set_attrs(bytes=nbytes, rows=len(rows))
-                self.host_engine.receive_table(table_name, column_types, rows)
-            portion_span.set_sim_ns(portion_breakdown.total_ns)
-            portion_span.set_attrs(
-                rows=len(rows),
-                bytes=nbytes,
-                **{
-                    f"{category}_ns": ns
-                    for category, ns in sorted(
-                        portion_breakdown.by_category.items()
+                if manual is None:
+                    statement = auth.statement
+            monitor_breakdown = self.clock.breakdown.minus(clock_before)
+
+            host_meter = self.host_engine.fresh_meter()
+            ship_meters = [Meter() for _ in self.nodes]
+            self.host_engine.begin_session(options)
+            # However the run ends, no shipped plaintext, open ingest or
+            # enclave session may outlive it into the next query.
+            cleanup.callback(self.host_engine.end_session)
+            run = _SplitRun(
+                run_config=run_config, secure=secure,
+                in_realm=secure and self.armv9_realms, memory=memory,
+                manual=manual is not None, host_meter=host_meter,
+                engines=[
+                    node.engine if secure else node.engine_plain
+                    for node in self.nodes
+                ],
+                ship_meters=ship_meters,
+                channels=[
+                    channel_pair(
+                        self.link, "host", node.endpoint, auth.session.key,
+                        host_meter, ship_meter, tracer=self.tracer,
                     )
-                },
+                    if secure else None
+                    for node, ship_meter in zip(self.nodes, ship_meters)
+                ],
             )
 
-        phase_ctx.__exit__(None, None, None)
+            # Storage phase: every offloaded portion runs with its own
+            # meter so portions can be scheduled across the storage CPUs.
+            ship_portion = self._ship_batches if pipelined else self._ship_records
+            stores = [engine.db.store for engine in run.engines]
+            portions: list[_Shipped] = []
+            with self.tracer.span(
+                SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=run.in_realm,
+                portions=len(ships), **shards,
+            ) as phase_span:
+                for ship in ships:
+                    targets, pruned = self._route_ship(ship, manual, run_config, stores)
+                    if sharded:
+                        host_meter.bump("shard_scan_fanout", len(targets))
+                        host_meter.bump("shards_pruned", pruned)
+                        self.tracer.event(
+                            SPAN_SHARD_ROUTE, node=NODE_HOST, table=ship.table,
+                            fanout=len(targets), pruned=pruned,
+                        )
+                    if not targets:
+                        # Every shard proved the scan matches nothing; the
+                        # host table must still exist for the join/agg phase.
+                        self.host_engine.receive_table(
+                            ship.table,
+                            self._scan_column_types(run.engines[0], ship), [],
+                        )
+                    for target in targets:
+                        portions.append(ship_portion(run, ship, target))
 
-        # Host phase: the full query over the shipped tables.
-        host_statement = (
-            parse(manual.host_sql) if manual is not None else statement
-        )
-        with self.tracer.span(
-            SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
-        ) as host_span:
-            result = self.host_engine.run(host_statement)
-            self.monitorless_cleanup()
+            # Host phase: the full query over the shipped tables.
+            host_statement = (
+                self.parse_select(manual.host_sql) if manual is not None else statement
+            )
+            with self.tracer.span(
+                SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
+            ) as host_span:
+                result = self.host_engine.run(host_statement)
 
-        # Storage wall time: LPT schedule of the serial portions, plus the
-        # (serial) channel encryption work.
-        storage_meter.merge(ship_meter)
-        work_breakdown = self.cost_model.phase_breakdown(
-            storage_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-            in_realm=(secure and self.armv9_realms),
+        total_bytes = sum(p.nbytes for p in portions)
+        total_batches = sum(p.batches for p in portions)
+        ingest_breakdown = TimeBreakdown()
+        for portion in portions:
+            ingest_breakdown.merge(portion.ingest)
+
+        # Per-node wall time: each node LPT-schedules its own portions
+        # over its own CPUs and pays its own serial leftovers — whatever
+        # its merged meters cost beyond the per-portion slices (channel
+        # crypto; nonlinear charges such as memory-pressure spill, which
+        # are priced on the merged meter).  The deterministic arbiter then
+        # runs the nodes concurrently, so the phase wall is the slowest
+        # node's; with one node it is that node's.
+        storage_meter = Meter()
+        node_walls: list[float] = []
+        for index, ship_meter in enumerate(run.ship_meters):
+            mine = [p for p in portions if p.node == index]
+            merged = Meter()
+            node_ingest = TimeBreakdown()
+            for portion in mine:
+                merged.merge(portion.meter)
+                node_ingest.merge(portion.ingest)
+            merged.merge(ship_meter)
+            work = self._storage_cost(merged, run).merge(node_ingest)
+            node_walls.append(
+                lpt_makespan_ns([p.duration_ns for p in mine], cpus)
+                + max(0.0, work.total_ns - sum(p.serial_ns for p in mine))
+            )
+            storage_meter.merge(merged)
+        storage_wall_ns = makespan_ns(
+            arbitrate(
+                [SessionTask(index, wall) for index, wall in enumerate(node_walls)],
+                len(self.nodes),
+            )
         )
-        wall_ns = self._lpt_makespan(scan_durations, cpus)
-        extra_ns = max(0.0, work_breakdown.total_ns - sum(scan_durations))
-        storage_wall_ns = wall_ns + extra_ns
+        work_breakdown = self._storage_cost(storage_meter, run).merge(ingest_breakdown)
         if work_breakdown.total_ns > 0:
             storage_breakdown = work_breakdown.scaled(
                 storage_wall_ns / work_breakdown.total_ns
             )
         else:
             storage_breakdown = work_breakdown
-        # The phase's wall time is the LPT schedule, not the sum of the
-        # portion spans (extra CPUs overlap portions): stamp it explicitly.
+        # The phase's wall time is the schedule, not the sum of the
+        # portion spans (extra CPUs and nodes overlap portions): stamp it.
         phase_span.set_sim_ns(storage_breakdown.total_ns)
-        phase_span.set_attrs(bytes_shipped=total_bytes, cpus=cpus)
+        phase_span.set_attrs(
+            bytes_shipped=total_bytes, cpus=cpus, pipelined=pipelined,
+            batches=total_batches,
+        )
 
         host_breakdown = self.cost_model.phase_breakdown(
-            host_meter,
-            platform="x86",
-            in_enclave=secure,
+            host_meter, platform="x86", in_enclave=secure
         )
-        host_span.set_sim_ns(host_breakdown.total_ns)
+        # Streamed ingest already overlapped into the storage phase above;
+        # the join/agg phase is what the host did beyond it.
+        join_breakdown = (
+            host_breakdown.minus(ingest_breakdown) if pipelined else host_breakdown
+        )
+        host_span.set_sim_ns(join_breakdown.total_ns)
         host_span.set_attrs(rows=len(result.rows))
+
         # Shipping overlaps with storage-side execution (the paper streams
         # records asynchronously): only the excess transfer time shows up.
         transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes, messages=max(1, total_bytes // 65536)
+            total_bytes,
+            messages=max(1, total_batches if pipelined else total_bytes // 65536),
         )
         total = TimeBreakdown()
         total.merge(monitor_breakdown)
@@ -1180,7 +1229,7 @@ class Deployment:
             )
             if span is not None:
                 span.set_sim_ns(overflow)
-        total.merge(host_breakdown)
+        total.merge(join_breakdown)
         if secure:
             # Control-path cost: per-request TLS session establishment.
             total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
@@ -1198,119 +1247,158 @@ class Deployment:
             storage_meter=storage_meter,
             host_meter=host_meter,
             bytes_shipped=total_bytes,
-            plan_notes=(plan.notes if plan is not None else [manual.note]),
-            portion_meters=portion_meters,
+            plan_notes=notes + (plan.notes if plan is not None else [manual.note]),
+            portion_meters=[p.meter for p in portions],
             monitor_breakdown=monitor_breakdown,
         )
 
-    def _run_split_pipelined(
-        self, statement: A.Select, secure: bool, cpus: int, memory: int,
-        run_config: RunConfig, manual=None, authorization=None,
-    ) -> RunResult:
-        """Streamed twin of :meth:`_run_split` (``RunConfig.pipeline``).
+    # The two wire forms of "scan one portion on one node and ship it".
+    # Both take (run, ship, node index) and return a _Shipped; they share
+    # the three helpers below.
 
-        Every offloaded portion is executed as a stream of bounded
-        RecordBatches: the scan produces a batch, the channel encrypts it
-        (optionally zlib-compressed first), and the host ingests it —
-        and the three stages *overlap* across consecutive batches, so
-        the phase wall time is the pipeline makespan, not the serial
-        sum.  Stage durations come from the same cost model as the
-        serial path: each portion's scan / ship-crypto / host-ingest
-        meters are priced as a whole, then apportioned across its
-        batches by row and byte weights (totals are conserved).
+    @staticmethod
+    def _push(channel, frame: bytes) -> bytes:
+        """Move one frame from a node to the host: really through the
+        node's authenticated channel under scs; vcs has none."""
+        if channel is None:
+            return frame
+        chan_host, chan_node = channel
+        chan_node.send(frame, charge_time=False)
+        return chan_host.receive()
+
+    @staticmethod
+    def _pad(frame: bytes, tier: str, schedule: ShipSchedule | None, ship_meter: Meter) -> bytes:
+        """Pad *frame* to its tier's fixed ciphertext size (no-op when off)."""
+        if not pads_channel(tier):
+            return frame
+        padded = pad_frame(frame, target=schedule.frame_bytes if schedule else None)
+        ship_meter.bump("oblivious_pad_bytes", len(padded) - len(frame))
+        return padded
+
+    @staticmethod
+    def _dummy(schedule: ShipSchedule, ship_meter: Meter) -> bytes:
+        """One all-padding frame of the full tier's top-up, metered."""
+        filler = dummy_frame(schedule.frame_bytes)
+        ship_meter.bump("oblivious_dummy_batches")
+        ship_meter.bump("oblivious_pad_bytes", len(filler))
+        return filler
+
+    def _ship_records(self, run: _SplitRun, ship, target: int) -> _Shipped:
+        """Record-framed form: materialize the portion, then ship it.
+
+        The scan runs to completion, its rows are serialized once, and
+        (scs) pushed through the channel ``RECORD_ROWS`` at a time —
+        the framing that mirrors the host's ingest batching.  Nothing
+        overlaps, so the portion's slot is just its scan.
         """
-        engine = self.storage_engine if secure else self.storage_engine_plain
-        # Every query path sets this explicitly from its run config, so the
-        # knob never leaks from one query into the next.
-        engine.set_zone_maps(run_config.zone_maps)
-        engine.set_oblivious(run_config.oblivious)
-        engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
-        if manual is not None:
-            plan = None
-        else:
-            with self.tracer.span(SPAN_PARTITION, node=NODE_HOST) as part_span:
-                plan = self.partitioner.partition(statement)
-                part_span.set_attrs(scans=len(plan.scans))
-
-        clock_before = self.clock.breakdown.copy()
-        session_key = self.rng.fork("adhoc-session").bytes(32)
-        if secure:
-            if not self._attested:
-                self.attest_all()
-            auth = authorization
-            if auth is None:
-                auth = self.monitor.authorize(
-                    self.database_name,
-                    client_key=self._client_fingerprint(),
-                    statement=statement,
-                    host_id="host-1",
-                    now=0,
-                    query_text=statement.to_sql(),
-                )
-            if manual is None:
-                statement = auth.statement
-            session_key = auth.session.key
-        monitor_breakdown = self.clock.breakdown.minus(clock_before)
-
-        host_meter = self.host_engine.fresh_meter()
-        ship_meter = Meter()
-
-        self.host_engine.begin_session()
-        if secure:
-            chan_host, chan_storage = channel_pair(
-                self.link, "host", "storage", session_key, host_meter, ship_meter,
-                tracer=self.tracer,
-            )
-
-        compress_level = run_config.compress_level if run_config.compress else 0
-        total_bytes = 0
-        total_batches = 0
-        ship_makespans: list[float] = []
-        per_ship_serial_ns = 0.0
-        portion_meters: list[Meter] = []
-        storage_meter = Meter()
-        ingest_breakdown = TimeBreakdown()
-        ships = manual.ships if manual is not None else plan.scans
-        in_realm = secure and self.armv9_realms
-        phase_ctx = self.tracer.span(
-            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm, portions=len(ships)
-        )
-        phase_span = phase_ctx.__enter__()
-        for ship in ships:
-            portion_meter = engine.fresh_meter()
-            portion_meters.append(portion_meter)
-            ship_before = ship_meter.copy()
-            host_before = host_meter.copy()
-            with self.tracer.span(
-                SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm, table=ship.table
-            ) as portion_span:
-                table_name = ship.table
-                schedule = None
-                fixed_rows = None
-                if fixed_ship_schedule(run_config.oblivious):
-                    schedule = self._ship_schedule(
-                        engine, table_name, batch_bytes=run_config.batch_bytes
+        node, engine = self.nodes[target], run.engines[target]
+        ship_meter, channel = run.ship_meters[target], run.channels[target]
+        options, tier = run.run_config.exec_options, run.run_config.oblivious
+        shard = self._shard_attrs(node)
+        portion_meter = engine.fresh_meter()
+        with self.tracer.span(
+            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=run.in_realm,
+            table=ship.table, **shard,
+        ) as portion_span:
+            with self._attributed(node.node_id):
+                if run.manual:
+                    columns, rows, nbytes, encoded = engine.execute_sql(
+                        ship.sql, options
                     )
-                    fixed_rows = schedule.rows_per_unit
-                if manual is not None:
+                    column_types = self._infer_column_types(columns, rows)
+                else:
+                    columns, rows, nbytes, encoded = engine.execute_scan(
+                        ship, options
+                    )
+                    column_types = self._scan_column_types(engine, ship)
+            cost = self._storage_cost(portion_meter, run)
+            if channel is not None:
+                shipped_before = ship_meter.channel_bytes_encrypted
+                with self.tracer.span(
+                    SPAN_CHANNEL_SHIP, node=NODE_STORAGE, table=ship.table, **shard,
+                ) as ship_span:
+                    # The receiver ingests rows out of band, so padded
+                    # records need no unwrap on the host side.
+                    schedule = None
+                    if fixed_ship_schedule(tier):
+                        schedule = self._ship_schedule(
+                            engine, ship.table, record_rows=RECORD_ROWS
+                        )
+                    records = 0
+                    for start in range(0, max(1, len(rows)), RECORD_ROWS):
+                        payload = b"".join(encoded[start : start + RECORD_ROWS])
+                        self._push(channel, self._pad(payload, tier, schedule, ship_meter))
+                        records += 1
+                    if schedule is not None:
+                        # Top the record count up to the table's
+                        # predicate-independent bound with dummies, so
+                        # the channel trace length is fixed too.
+                        for _ in range(max(0, schedule.units - records)):
+                            self._push(channel, self._dummy(schedule, ship_meter))
+                shipped = ship_meter.channel_bytes_encrypted - shipped_before
+                ship_span.set_sim_ns(
+                    shipped * self.cost_model.channel_crypto_ns_per_byte
+                )
+                ship_span.set_attrs(bytes=nbytes, rows=len(rows))
+            self.host_engine.receive_table(ship.table, column_types, rows)
+        portion_span.set_sim_ns(cost.total_ns)
+        portion_span.set_attrs(
+            rows=len(rows),
+            bytes=nbytes,
+            **{f"{category}_ns": ns for category, ns in sorted(cost.by_category.items())},
+        )
+        return _Shipped(
+            node=target, meter=portion_meter, nbytes=nbytes, batches=0,
+            duration_ns=cost.total_ns, serial_ns=cost.total_ns,
+            ingest=TimeBreakdown(),
+        )
+
+    def _ship_batches(self, run: _SplitRun, ship, target: int) -> _Shipped:
+        """Streaming form: the portion as a stream of bounded RecordBatches.
+
+        The scan produces a batch, the channel encrypts it (optionally
+        zlib-compressed first), and the host ingests it — and the three
+        stages *overlap* across consecutive batches, so the portion's slot
+        is the pipeline makespan, not the serial sum.  Stage durations
+        come from the same cost model as the record-framed form: the
+        portion's scan / ship-crypto / host-ingest meters are priced as a
+        whole, then apportioned across its batches by row and byte
+        weights (totals are conserved).
+        """
+        node, engine = self.nodes[target], run.engines[target]
+        ship_meter, channel = run.ship_meters[target], run.channels[target]
+        host_meter, config = run.host_meter, run.run_config
+        options, tier = config.exec_options, config.oblivious
+        shard = self._shard_attrs(node)
+        compress_level = config.compress_level if config.compress else 0
+        portion_meter = engine.fresh_meter()
+        ship_before = ship_meter.copy()
+        host_before = host_meter.copy()
+        table_name = ship.table
+        with self.tracer.span(
+            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=run.in_realm,
+            table=table_name, **shard,
+        ) as portion_span:
+            schedule = None
+            fixed_rows = None
+            if fixed_ship_schedule(tier):
+                schedule = self._ship_schedule(
+                    engine, table_name, batch_bytes=config.batch_bytes
+                )
+                fixed_rows = schedule.rows_per_unit
+            with self._attributed(node.node_id):
+                if run.manual:
                     columns, batches = engine.stream_sql(
-                        ship.sql,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
+                        ship.sql, options,
+                        batch_bytes=config.batch_bytes, fixed_rows=fixed_rows,
                     )
                     column_types = None  # inferred from the first batch
                 else:
                     columns, batches = engine.stream_scan(
-                        ship,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
+                        ship, options,
+                        batch_bytes=config.batch_bytes, fixed_rows=fixed_rows,
                     )
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
+                    column_types = self._scan_column_types(engine, ship)
                     self.host_engine.begin_table(table_name, column_types)
 
                 if schedule is not None:
@@ -1323,8 +1411,6 @@ class Deployment:
                     batches = list(batches)
                 row_weights: list[int] = []
                 byte_weights: list[int] = []
-                ship_rows = 0
-                ship_bytes = 0
                 for batch in batches:
                     if column_types is None:
                         column_types = self._infer_column_types(
@@ -1332,33 +1418,19 @@ class Deployment:
                         )
                         self.host_engine.begin_table(table_name, column_types)
                     frame, saved = pack_frame(batch.payload, compress_level)
-                    if pads_channel(run_config.oblivious):
-                        raw = len(frame)
-                        frame = pad_frame(
-                            frame,
-                            target=(
-                                schedule.frame_bytes if schedule else None
-                            ),
-                        )
-                        ship_meter.bump("oblivious_pad_bytes", len(frame) - raw)
+                    frame = self._pad(frame, tier, schedule, ship_meter)
                     ship_meter.bump("batches_shipped")
                     if saved:
                         ship_meter.bump("channel_bytes_saved", saved)
                         ship_meter.bump("batch_bytes_compressed", batch.nbytes)
                         host_meter.bump("batch_bytes_decompressed", batch.nbytes)
-                    if secure:
-                        chan_storage.send(frame, charge_time=False)
-                        received = chan_host.receive()
-                    else:
-                        received = frame
-                    if pads_channel(run_config.oblivious):
+                    received = self._push(channel, frame)
+                    if pads_channel(tier):
                         received = unpad_frame(received)
                     payload, _ = unpack_frame(received)
                     self.host_engine.ingest_batch(table_name, payload)
                     row_weights.append(batch.row_count)
                     byte_weights.append(len(frame))
-                    ship_rows += batch.row_count
-                    ship_bytes += len(frame)
                     if self.tracer.enabled:
                         self.tracer.event(
                             SPAN_SHIP_BATCH,
@@ -1368,6 +1440,7 @@ class Deployment:
                             rows=batch.row_count,
                             bytes=len(frame),
                             saved=saved,
+                            **shard,
                         )
                 if column_types is None:
                     # Empty manual portion: the host table must still exist.
@@ -1379,160 +1452,50 @@ class Deployment:
                     # trace (count and sizes) is fixed; the host drops
                     # them on unpad without an enclave entry.
                     for _ in range(max(0, schedule.units - len(row_weights))):
-                        filler = dummy_frame(schedule.frame_bytes)
+                        filler = self._dummy(schedule, ship_meter)
                         ship_meter.bump("batches_shipped")
-                        ship_meter.bump("oblivious_dummy_batches")
-                        ship_meter.bump("oblivious_pad_bytes", len(filler))
-                        if secure:
-                            chan_storage.send(filler, charge_time=False)
-                            dropped = chan_host.receive()
-                        else:
-                            dropped = filler
+                        dropped = self._push(channel, filler)
                         assert unpad_frame(dropped) is None
                         row_weights.append(0)
                         byte_weights.append(len(filler))
-                        ship_bytes += len(filler)
                 self.host_engine.finish_table(table_name)
 
-                total_bytes += ship_bytes
-                total_batches += len(row_weights)
-                # Price each stage's work for this portion as a whole
-                # (same cost model as the serial path), then split it
-                # across the portion's batches to feed the pipeline model.
-                portion_breakdown = self.cost_model.phase_breakdown(
-                    portion_meter, platform="arm", cores=1,
-                    memory_limit_bytes=memory, in_realm=in_realm,
-                )
-                ship_cost = self.cost_model.phase_breakdown(
-                    ship_meter.delta(ship_before), platform="arm", cores=1,
-                    memory_limit_bytes=memory, in_realm=in_realm,
-                )
-                ingest_cost = self.cost_model.phase_breakdown(
-                    host_meter.delta(host_before), platform="x86", in_enclave=secure
-                )
-                ingest_breakdown.merge(ingest_cost)
-                timings = [
-                    BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
-                    for s, c, h in zip(
-                        apportion_ns(portion_breakdown.total_ns, row_weights),
-                        apportion_ns(ship_cost.total_ns, byte_weights),
-                        apportion_ns(ingest_cost.total_ns, row_weights),
-                    )
-                ]
-                serial_ns = (
-                    portion_breakdown.total_ns
-                    + ship_cost.total_ns
-                    + ingest_cost.total_ns
-                )
-                makespan = pipelined_ns(timings) if timings else serial_ns
-                ship_makespans.append(makespan)
-                per_ship_serial_ns += serial_ns
-                storage_meter.merge(portion_meter)
-            portion_span.set_sim_ns(makespan)
-            portion_span.set_attrs(
-                rows=ship_rows,
-                bytes=ship_bytes,
-                batches=len(row_weights),
-                serial_ns=serial_ns,
+            # Price each stage's work for this portion as a whole, then
+            # split it across the portion's batches to feed the pipeline
+            # model.
+            scan_cost = self._storage_cost(portion_meter, run)
+            ship_cost = self._storage_cost(ship_meter.delta(ship_before), run)
+            ingest_cost = self.cost_model.phase_breakdown(
+                host_meter.delta(host_before), platform="x86", in_enclave=run.secure
             )
-
-        phase_ctx.__exit__(None, None, None)
-
-        # Host phase: the full query over the (already ingested) tables.
-        host_statement = (
-            parse(manual.host_sql) if manual is not None else statement
+            timings = [
+                BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
+                for s, c, h in zip(
+                    apportion_ns(scan_cost.total_ns, row_weights),
+                    apportion_ns(ship_cost.total_ns, byte_weights),
+                    apportion_ns(ingest_cost.total_ns, row_weights),
+                )
+            ]
+            serial_ns = scan_cost.total_ns + ship_cost.total_ns + ingest_cost.total_ns
+            makespan = pipelined_ns(timings) if timings else serial_ns
+        portion_span.set_sim_ns(makespan)
+        portion_span.set_attrs(
+            rows=sum(row_weights),
+            bytes=sum(byte_weights),
+            batches=len(row_weights),
+            serial_ns=serial_ns,
         )
-        with self.tracer.span(
-            SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
-        ) as host_span:
-            result = self.host_engine.run(host_statement)
-            self.monitorless_cleanup()
-
-        # Phase wall time: LPT schedule of the per-portion pipelined
-        # makespans, plus whatever the merged meters cost beyond the
-        # per-portion slices (nonlinear charges such as memory-pressure
-        # spill are priced on the merged meter, exactly as serially).
-        storage_meter.merge(ship_meter)
-        work_breakdown = self.cost_model.phase_breakdown(
-            storage_meter, platform="arm", cores=1, memory_limit_bytes=memory,
-            in_realm=(secure and self.armv9_realms),
+        return _Shipped(
+            node=target, meter=portion_meter, nbytes=sum(byte_weights),
+            batches=len(row_weights), duration_ns=makespan, serial_ns=serial_ns,
+            ingest=ingest_cost,
         )
-        host_breakdown = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=secure,
-        )
-        combined = work_breakdown.copy().merge(ingest_breakdown)
-        wall_ns = self._lpt_makespan(ship_makespans, cpus)
-        extra_ns = max(0.0, combined.total_ns - per_ship_serial_ns)
-        phase_wall_ns = wall_ns + extra_ns
-        if combined.total_ns > 0:
-            storage_breakdown = combined.scaled(phase_wall_ns / combined.total_ns)
-        else:
-            storage_breakdown = combined
-        phase_span.set_sim_ns(storage_breakdown.total_ns)
-        phase_span.set_attrs(
-            bytes_shipped=total_bytes, cpus=cpus, batches=total_batches,
-            pipelined=True,
-        )
-
-        # The join/agg phase is what the host did beyond the ingest work
-        # already overlapped into the storage phase above.
-        join_breakdown = host_breakdown.minus(ingest_breakdown)
-        host_span.set_sim_ns(join_breakdown.total_ns)
-        host_span.set_attrs(rows=len(result.rows))
-
-        transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes, messages=max(1, total_batches)
-        )
-        total = TimeBreakdown()
-        total.merge(monitor_breakdown)
-        total.merge(storage_breakdown)
-        overflow = transfer_ns - storage_breakdown.total_ns
-        if overflow > 0:
-            total.add(CAT_NETWORK, overflow)
-            span = self.tracer.event(
-                SPAN_CHANNEL_TRANSFER, node=NODE_NETWORK, bytes=total_bytes
-            )
-            if span is not None:
-                span.set_sim_ns(overflow)
-        total.merge(join_breakdown)
-        if secure:
-            total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
-            span = self.tracer.event(SPAN_SESSION_SETUP, node=NODE_HOST)
-            if span is not None:
-                span.set_sim_ns(self.cost_model.tls_handshake_ns)
-
-        return RunResult(
-            config="scs" if secure else "vcs",
-            columns=result.columns,
-            rows=result.rows,
-            breakdown=total,
-            storage_breakdown=storage_breakdown,
-            host_breakdown=host_breakdown,
-            storage_meter=storage_meter,
-            host_meter=host_meter,
-            bytes_shipped=total_bytes,
-            plan_notes=(plan.notes if plan is not None else [manual.note]),
-            portion_meters=portion_meters,
-            monitor_breakdown=monitor_breakdown,
-        )
-
-    def monitorless_cleanup(self) -> None:
-        """End the host session (wipes enclave temp tables)."""
-        self.host_engine.end_session()
 
     # -- storage only (sos) ----------------------------------------------
 
     def _run_storage_only(
-        self,
-        statement: A.Select,
-        cpus: int,
-        memory: int,
-        run_config: RunConfig | None = None,
+        self, statement: A.Select, cpus: int, memory: int, run_config: RunConfig
     ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        self.storage_engine.set_zone_maps(run_config.zone_maps)
-        self.storage_engine.set_oblivious(run_config.oblivious)
-        self.storage_engine.set_vectorized(run_config.vectorized)
         meter = self.storage_engine.fresh_meter()
         with self.tracer.span(
             SPAN_STORAGE_PHASE,
@@ -1540,7 +1503,9 @@ class Deployment:
             enclave=self.armv9_realms,
             portions=1,
         ) as phase_span:
-            result = self.storage_engine.execute_full(statement)
+            result = self.storage_engine.execute_full(
+                statement, run_config.exec_options
+            )
         # One single-threaded engine instance processes the whole query.
         breakdown = self.cost_model.phase_breakdown(
             meter,

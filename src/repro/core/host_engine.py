@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..errors import EnclaveError
 from ..sim import Meter
 from ..telemetry import NODE_HOST, NOOP_TRACER, SPAN_HOST_INGEST
-from ..sql import Database, MemoryStore
+from ..sql import Database, ExecOptions, MemoryStore
 from ..sql import ast_nodes as A
 from ..sql.catalog import TableSchema
 from ..sql.records import decode_batch
@@ -35,11 +35,9 @@ class HostEngine:
         self._db: Database | None = None
         #: Streaming-ingest state per table: columns + running totals.
         self._ingests: dict[str, dict] = {}
-        #: Oblivious tier applied to each session database (the host-side
-        #: join/group-by swap for the ``full`` tier).
-        self._oblivious = "off"
-        #: Batch-at-a-time execution applied to each session database.
-        self._vectorized = False
+        #: How the open session's statements execute; fixed by
+        #: :meth:`begin_session` and gone with the session.
+        self._options = ExecOptions()
         enclave.register_ecall("reset_session", self._reset_session)
         enclave.register_ecall("load_table", self._load_table)
         enclave.register_ecall("run_statement", self._run_statement)
@@ -49,11 +47,10 @@ class HostEngine:
     # ECALL bodies (run "inside" the enclave)
     # ------------------------------------------------------------------
 
-    def _reset_session(self) -> None:
+    def _reset_session(self, options: ExecOptions) -> None:
         self._db = Database(MemoryStore(self.meter))
-        self._db.set_oblivious(self._oblivious)
-        self._db.set_vectorized(self._vectorized)
         self._db.tracer = self.tracer
+        self._options = options
         self.enclave.put("session_db", self._db)
 
     def _load_table(
@@ -66,11 +63,12 @@ class HostEngine:
 
     def _run_statement(self, statement: A.Statement):
         db = self.enclave.get("session_db")
-        return db.execute_statement(statement)
+        return db.execute_statement(statement, options=self._options)
 
     def _wipe(self) -> None:
         self._db = None
         self._ingests = {}
+        self._options = ExecOptions()
         self.enclave.wipe()
 
     # ------------------------------------------------------------------
@@ -85,26 +83,9 @@ class HostEngine:
             self._db.store.meter = meter
         return meter
 
-    def set_oblivious(self, tier: str) -> None:
-        """Select the oblivious tier for the next (and current) session.
-
-        The deployment sets this from ``RunConfig.oblivious`` before
-        ``begin_session`` on every split-path query, so the knob never
-        leaks across queries.
-        """
-        self._oblivious = tier
-        if self._db is not None:
-            self._db.set_oblivious(tier)
-
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle batch-at-a-time execution for the next (and current)
-        session — same per-query hygiene as :meth:`set_oblivious`."""
-        self._vectorized = bool(enabled)
-        if self._db is not None:
-            self._db.set_vectorized(enabled)
-
-    def begin_session(self) -> None:
-        self.enclave.ecall("reset_session")
+    def begin_session(self, options: ExecOptions = ExecOptions()) -> None:
+        """Open a fresh session whose statements all run under *options*."""
+        self.enclave.ecall("reset_session", options)
 
     def receive_table(
         self, name: str, columns: list[tuple[str, str]], rows: list[tuple]
@@ -149,7 +130,7 @@ class HostEngine:
         rows = decode_batch(payload)
         if rows:
             self.enclave.ecall("load_table", name, state["columns"], rows)
-        if self._vectorized and self._db is not None:
+        if self._options.vectorized and self._db is not None:
             # Batch boundaries are preserved: the shipped batch becomes a
             # morsel for the vectorized executor instead of being chunked
             # a second time out of the row store (``batches_reused``).

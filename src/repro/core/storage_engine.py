@@ -18,7 +18,7 @@ from ..errors import SecureBootError
 from ..sim import Meter
 from ..stream import DEFAULT_BATCH_BYTES, BatchAssembler, EncodedBatch
 from ..telemetry import NOOP_TRACER, Tracer
-from ..sql import Database, PagedStore
+from ..sql import Database, ExecOptions, PagedStore
 from ..sql import ast_nodes as A
 from ..sql.parser import parse
 from ..sql.records import encode_row
@@ -96,32 +96,6 @@ class StorageEngine:
 
     # ------------------------------------------------------------------
 
-    def set_zone_maps(self, enabled: bool) -> None:
-        """Toggle zone-map skip-scans for subsequent scans on this engine.
-
-        The deployment sets this from ``RunConfig.zone_maps`` at the start
-        of every query path, so the knob never leaks across queries.
-        """
-        self.db.set_zone_maps(enabled)
-
-    def set_oblivious(self, tier: str) -> None:
-        """Select the oblivious-execution tier for subsequent queries.
-
-        Set from ``RunConfig.oblivious`` alongside :meth:`set_zone_maps`
-        at the start of every query path — same hygiene, same reason.
-        """
-        self.db.set_oblivious(tier)
-
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle batch-at-a-time execution for subsequent queries.
-
-        Set from ``RunConfig.vectorized`` alongside the other per-query
-        knobs at the start of every query path — same hygiene.
-        """
-        self.db.set_vectorized(enabled)
-
-    # ------------------------------------------------------------------
-
     @property
     def tracer(self) -> Tracer:
         return self._tracer
@@ -168,7 +142,7 @@ class StorageEngine:
     # ------------------------------------------------------------------
 
     def execute_scan(
-        self, spec: TableScanSpec
+        self, spec: TableScanSpec, options: ExecOptions = ExecOptions()
     ) -> tuple[list[str], list[tuple], int, list[bytes]]:
         """Run one offloaded filtering scan, materializing the result.
 
@@ -177,7 +151,18 @@ class StorageEngine:
         encoded rows are returned so the ship loop reuses them instead of
         serializing every row a second time.
         """
-        result = self.db.execute_statement(spec.to_select())
+        return self._materialize(spec.to_select(), options)
+
+    def execute_sql(
+        self, sql: str, options: ExecOptions = ExecOptions()
+    ) -> tuple[list[str], list[tuple], int, list[bytes]]:
+        """:meth:`execute_scan` for a manually partitioned portion's SQL."""
+        return self._materialize(parse(sql), options)
+
+    def _materialize(
+        self, statement: A.Statement, options: ExecOptions
+    ) -> tuple[list[str], list[tuple], int, list[bytes]]:
+        result = self.db.execute_statement(statement, options=options)
         encoded = [encode_row(row) for row in result.rows]
         nbytes = sum(map(len, encoded))
         # The shipped rows are buffered for serialization; that buffer is
@@ -190,6 +175,7 @@ class StorageEngine:
     def stream_scan(
         self,
         spec: TableScanSpec,
+        options: ExecOptions = ExecOptions(),
         *,
         batch_bytes: int = DEFAULT_BATCH_BYTES,
         fixed_rows: int | None = None,
@@ -203,22 +189,29 @@ class StorageEngine:
         ``fixed_rows`` pins the rows-per-batch target (the oblivious full
         tier's predicate-independent batch boundaries).
         """
-        return self._stream_statement(spec.to_select(), batch_bytes, fixed_rows)
+        return self._stream_statement(
+            spec.to_select(), options, batch_bytes, fixed_rows
+        )
 
     def stream_sql(
         self,
         sql: str,
+        options: ExecOptions = ExecOptions(),
         *,
         batch_bytes: int = DEFAULT_BATCH_BYTES,
         fixed_rows: int | None = None,
     ) -> tuple[list[str], Iterator[EncodedBatch]]:
         """:meth:`stream_scan` for a manually partitioned portion's SQL."""
-        return self._stream_statement(parse(sql), batch_bytes, fixed_rows)
+        return self._stream_statement(parse(sql), options, batch_bytes, fixed_rows)
 
     def _stream_statement(
-        self, statement: A.Statement, batch_bytes: int, fixed_rows: int | None = None
+        self,
+        statement: A.Statement,
+        options: ExecOptions,
+        batch_bytes: int,
+        fixed_rows: int | None,
     ) -> tuple[list[str], Iterator[EncodedBatch]]:
-        columns, rows = self.db.stream_select(statement)
+        columns, rows = self.db.stream_select(statement, options=options)
         assembler = BatchAssembler(target_bytes=batch_bytes, fixed_rows=fixed_rows)
 
         def batches() -> Iterator[EncodedBatch]:
@@ -229,9 +222,11 @@ class StorageEngine:
 
         return columns, batches()
 
-    def execute_full(self, statement: A.Statement):
+    def execute_full(
+        self, statement: A.Statement, options: ExecOptions = ExecOptions()
+    ):
         """Run a complete statement locally (the `sos` configuration)."""
-        return self.db.execute_statement(statement)
+        return self.db.execute_statement(statement, options=options)
 
     def commit(self) -> None:
         self.db.commit()

@@ -14,9 +14,12 @@ cross-shard joins and grouped aggregation run host-side exactly as in the
 single-node split, and decomposable aggregates run storage-only as
 per-shard partials folded by a host-side final (:mod:`repro.core.aggsplit`).
 
-``shards=1`` delegates every path to the base :class:`Deployment`
-unchanged — rows, meters, simulated time and observable traces are
-byte-identical to the single-node testbed.
+Split execution (vcs/scs) is the base :class:`Deployment`'s one runner,
+which iterates the node list; this class only says where a ship goes
+(:meth:`_route_ship`) and when a hand-written split cannot be used as
+given.  ``shards=1`` holds every row on one node, so nothing needs
+decomposing and rows, meters, simulated time and observable traces equal
+the single-node testbed's (pinned by ``tests/test_shard.py``).
 
 ``RunConfig(strategy="auto")`` engages the cost-based offload optimizer
 (:mod:`repro.shard.optimizer`): the host/storage split is chosen per
@@ -27,7 +30,6 @@ cost model, and the decision (with predicted-vs-actual cost) lands in an
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
 
 from ..core import (
@@ -35,34 +37,25 @@ from ..core import (
     Deployment,
     RunConfig,
     RunResult,
-    StorageNode,
     TableScanSpec,
-    channel_pair,
     decompose_aggregate,
     pruning_for_scan,
 )
-from ..core.host_engine import RECORD_ROWS
-from ..errors import IntegrityError, IronSafeError, PartitionError
-from ..oblivious import dummy_frame, fixed_ship_schedule, pad_frame, pads_channel, unpad_frame
+from ..errors import IronSafeError, PartitionError
 from ..perf import SessionTask, arbitrate, makespan_ns
-from ..sim import CAT_NETWORK, CAT_POLICY, Meter, TimeBreakdown
+from ..sim import CAT_NETWORK, Meter, TimeBreakdown
 from ..sql.records import encode_row
-from ..stream import BatchTiming, apportion_ns, pack_frame, pipelined_ns, unpack_frame
 from ..telemetry import (
     NODE_HOST,
     NODE_NETWORK,
     NODE_STORAGE,
-    SPAN_CHANNEL_SHIP,
     SPAN_CHANNEL_TRANSFER,
     SPAN_HOST_EXECUTE,
     SPAN_HOST_JOIN_AGG,
     SPAN_NDP_FILTER,
     SPAN_OFFLOAD_PLAN,
-    SPAN_PARTITION,
-    SPAN_SESSION_SETUP,
     SPAN_SHARD_MERGE,
     SPAN_SHARD_ROUTE,
-    SPAN_SHIP_BATCH,
     SPAN_STORAGE_PHASE,
 )
 from ..tpch import TPCHGenerator, create_all
@@ -91,37 +84,19 @@ class ShardedDeployment(Deployment):
             raise PartitionError(
                 f"sharding spec covers {sharding.shards} shards, deployment has {self.shards}"
             )
-        if self.shards == 1:
-            # Single shard: the base deployment verbatim — same rng draw
-            # order, same loader, same runners — wrapped in the node list.
-            super().__init__(
-                scale_factor=scale_factor, seed=seed, workload=workload, **kwargs
-            )
-            self.sharding = (
-                sharding if sharding is not None
-                else default_tpch_sharding(1, scale_factor)
-            )
-        else:
-            super().__init__(
-                scale_factor=scale_factor, seed=seed, workload="none", **kwargs
-            )
-            self.sharding = (
-                sharding if sharding is not None
-                else default_tpch_sharding(self.shards, scale_factor)
-            )
-        self.nodes: list[StorageNode] = [
-            StorageNode(
-                node_id="storage-1",
-                engine=self.storage_engine,
-                engine_plain=self.storage_engine_plain,
-                secure_device=self.secure_device,
-                plain_device=self.plain_device,
-            )
-        ]
+        # One shard is the base deployment verbatim (same rng draw order,
+        # same loader); more are loaded below, once every node exists.
+        super().__init__(
+            scale_factor=scale_factor, seed=seed,
+            workload="none" if self.shards > 1 else workload, **kwargs,
+        )
+        self.sharding = (
+            sharding if sharding is not None
+            else default_tpch_sharding(self.shards, scale_factor)
+        )
         if self.shards > 1:
-            # Per-shard violation attribution for the primary too, and a
-            # per-shard channel endpoint named like the extra nodes'.
-            self.storage_engine.pager.on_violation = self._node_violation("storage-1")
+            # The primary's channel endpoint is named like the extra nodes'.
+            self.nodes[0].endpoint = "storage-1"
             self.link.register("storage-1")
             for index in range(1, self.shards):
                 self.nodes.append(self.add_storage_node(f"storage-{index + 1}"))
@@ -152,49 +127,6 @@ class ShardedDeployment(Deployment):
             node.engine.db.commit()
             node.engine_plain.db.commit()
         return counts
-
-    # ------------------------------------------------------------------
-    # Cluster-wide plumbing (tracing, observability, caching, attestation)
-    # ------------------------------------------------------------------
-
-    def _bind_tracer(self) -> None:
-        super()._bind_tracer()
-        for node in getattr(self, "nodes", [])[1:]:
-            node.engine.tracer = self.tracer
-            node.engine_plain.tracer = self.tracer
-
-    def enable_observability(self, **kwargs):
-        recorder = super().enable_observability(**kwargs)
-        for node in self.nodes[1:]:
-            node.secure_device.obsv = recorder
-            node.plain_device.obsv = recorder
-        return recorder
-
-    def enable_page_cache(self, capacity_pages: int) -> None:
-        super().enable_page_cache(capacity_pages)
-        for node in self.nodes[1:]:
-            node.engine.enable_page_cache(capacity_pages)
-
-    def disable_page_cache(self) -> None:
-        super().disable_page_cache()
-        for node in self.nodes[1:]:
-            node.engine.disable_page_cache()
-
-    def attest_all(self):
-        attested = super().attest_all()
-        for node in self.nodes[1:]:
-            attested[node.node_id] = self.attest_storage_node(node.engine)
-        return attested
-
-    @contextmanager
-    def _attributed(self, node_id: str):
-        """Re-raise integrity failures tagged with the owning shard."""
-        try:
-            yield
-        except IntegrityError as exc:
-            if node_id in str(exc):
-                raise
-            raise type(exc)(f"shard {node_id}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Adaptive offload (strategy="auto")
@@ -286,41 +218,19 @@ class ShardedDeployment(Deployment):
         return result
 
     # ------------------------------------------------------------------
-    # Sharded runners
+    # What is shard-specific about split execution (vcs / scs)
     # ------------------------------------------------------------------
 
-    def _run_query_traced(
-        self, sql, statement, config, *, cpus, memory,
-        manual_partition, authorization, run_config,
-    ) -> RunResult:
-        if self.shards == 1:
-            return super()._run_query_traced(
-                sql, statement, config, cpus=cpus, memory=memory,
-                manual_partition=manual_partition, authorization=authorization,
-                run_config=run_config,
-            )
-        from ..telemetry import NODE_CLIENT, SPAN_QUERY
-
-        with self.tracer.maybe_root(
-            SPAN_QUERY, node=NODE_CLIENT, config=config, sql=sql
-        ) as root:
-            if config in ("hons", "hos"):
-                result = self._run_host_only_sharded(
-                    statement, secure=(config == "hos"), run_config=run_config
-                )
-            elif config in ("vcs", "scs"):
-                result = self._run_split_sharded(
-                    statement, secure=(config == "scs"), cpus=cpus, memory=memory,
-                    manual=manual_partition, authorization=authorization,
-                    run_config=run_config,
-                )
-            else:
-                result = self._run_storage_only_sharded(
-                    statement, cpus=cpus, memory=memory, run_config=run_config
-                )
-            root.set_sim_ns(result.breakdown.total_ns)
-            root.set_attrs(rows=len(result.rows), bytes_shipped=result.bytes_shipped)
-        return result
+    def _usable_manual(self, manual):
+        """A hand-written split is only exact per shard when the layout
+        co-partitions what it joins or groups; otherwise plan automatically."""
+        if manual is None or self.sharding.co_partitioned(manual.requires):
+            return manual, []
+        return None, [
+            "manual split needs co-partitioning on "
+            f"{list(manual.requires)} which this layout lacks; "
+            "falling back to the automatic partitioner"
+        ]
 
     # -- shard routing ---------------------------------------------------
 
@@ -349,468 +259,13 @@ class ShardedDeployment(Deployment):
             return list(range(self.shards)), 0
         return route_scan(stores, ship.table, pruning_for_scan(catalog, ship))
 
-    # -- split execution (vcs / scs), serial and pipelined ---------------
-
-    def _run_split_sharded(
-        self, statement, secure, cpus, memory,
-        manual=None, authorization=None, run_config=None,
-    ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        engines = [
-            (node.engine if secure else node.engine_plain) for node in self.nodes
-        ]
-        for engine in engines:
-            engine.set_zone_maps(run_config.zone_maps)
-            engine.set_oblivious(run_config.oblivious)
-            engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
-
-        notes: list[str] = []
-        if manual is not None and not self.sharding.co_partitioned(manual.requires):
-            notes.append(
-                "manual split needs co-partitioning on "
-                f"{list(manual.requires)} which this layout lacks; "
-                "falling back to the automatic partitioner"
-            )
-            manual = None
-        if manual is not None:
-            plan = None
-        else:
-            with self.tracer.span(SPAN_PARTITION, node=NODE_HOST) as part_span:
-                plan = self.partitioner.partition(statement)
-                part_span.set_attrs(scans=len(plan.scans))
-
-        clock_before = self.clock.breakdown.copy()
-        session_key = self.rng.fork("adhoc-session").bytes(32)
-        if secure:
-            if not self._attested:
-                self.attest_all()
-            auth = authorization
-            if auth is None:
-                auth = self.monitor.authorize(
-                    self.database_name,
-                    client_key=self._client_fingerprint(),
-                    statement=statement,
-                    host_id="host-1",
-                    now=0,
-                    query_text=statement.to_sql(),
-                )
-            if manual is None:
-                statement = auth.statement
-            session_key = auth.session.key
-        monitor_breakdown = self.clock.breakdown.minus(clock_before)
-
-        host_meter = self.host_engine.fresh_meter()
-        ship_meters = [Meter() for _ in self.nodes]
-        self.host_engine.begin_session()
-        channels: list[tuple] = [None] * len(self.nodes)
-        if secure:
-            for index, node in enumerate(self.nodes):
-                channels[index] = channel_pair(
-                    self.link, "host", node.node_id, session_key,
-                    host_meter, ship_meters[index], tracer=self.tracer,
-                )
-
-        ships = manual.ships if manual is not None else plan.scans
-        stores = [engine.db.store for engine in engines]
-        catalog = stores[0].catalog
-        pipelined = run_config.pipeline
-        compress_level = run_config.compress_level if run_config.compress else 0
-        in_realm = secure and self.armv9_realms
-
-        total_bytes = 0
-        total_batches = 0
-        portion_meters: list[Meter] = []
-        node_durations: list[list[float]] = [[] for _ in self.nodes]
-        node_serial_ns = [0.0] * len(self.nodes)
-        node_meters = [Meter() for _ in self.nodes]
-        node_ingest = [TimeBreakdown() for _ in self.nodes]
-        ingest_breakdown = TimeBreakdown()
-
-        phase_ctx = self.tracer.span(
-            SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=in_realm,
-            portions=len(ships), shards=self.shards,
-        )
-        phase_span = phase_ctx.__enter__()
-        for ship in ships:
-            targets, pruned = self._route_ship(ship, manual, run_config, stores)
-            host_meter.bump("shard_scan_fanout", len(targets))
-            host_meter.bump("shards_pruned", pruned)
-            self.tracer.event(
-                SPAN_SHARD_ROUTE, node=NODE_HOST, table=ship.table,
-                fanout=len(targets), pruned=pruned,
-            )
-            if not targets:
-                # Every shard proved the scan matches nothing; the host
-                # table must still exist for the join/agg phase.
-                schema = catalog.table(ship.table)
-                column_types = [
-                    (name, schema.column_type(name)) for name in ship.columns
-                ]
-                self.host_engine.receive_table(ship.table, column_types, [])
-                continue
-            for target in targets:
-                if pipelined:
-                    self._ship_portion_pipelined(
-                        ship, target, engines, channels, ship_meters,
-                        host_meter, node_meters, node_durations,
-                        node_serial_ns, node_ingest, ingest_breakdown,
-                        portion_meters, run_config, compress_level,
-                        secure=secure, memory=memory, in_realm=in_realm,
-                    )
-                    total_batches += self._last_batches
-                    total_bytes += self._last_bytes
-                else:
-                    self._ship_portion_serial(
-                        ship, target, engines, channels, ship_meters,
-                        node_meters, node_durations, portion_meters,
-                        run_config, manual,
-                        secure=secure, memory=memory, in_realm=in_realm,
-                    )
-                    total_bytes += self._last_bytes
-        phase_ctx.__exit__(None, None, None)
-
-        # Host phase: the full query over the shipped (unioned) tables.
-        host_statement = (
-            self.parse_select(manual.host_sql) if manual is not None else statement
-        )
-        with self.tracer.span(
-            SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
-        ) as host_span:
-            result = self.host_engine.run(host_statement)
-            self.monitorless_cleanup()
-
-        # Per-node wall times: each shard LPT-schedules its own portions
-        # over its own CPUs and pays its own serial leftovers (channel
-        # crypto, spill); the deterministic arbiter then runs the shards
-        # concurrently, so the phase wall is the slowest shard's.
-        storage_meter = Meter()
-        node_walls: list[float] = []
-        for index in range(len(self.nodes)):
-            merged = node_meters[index].copy()
-            merged.merge(ship_meters[index])
-            work = self.cost_model.phase_breakdown(
-                merged, platform="arm", cores=1,
-                memory_limit_bytes=memory, in_realm=in_realm,
-            )
-            if pipelined:
-                combined_ns = work.total_ns + node_ingest[index].total_ns
-                wall = self._lpt_makespan(node_durations[index], cpus) + max(
-                    0.0, combined_ns - node_serial_ns[index]
-                )
-            else:
-                wall = self._lpt_makespan(node_durations[index], cpus) + max(
-                    0.0, work.total_ns - sum(node_durations[index])
-                )
-            node_walls.append(wall)
-            storage_meter.merge(merged)
-        slots = arbitrate(
-            [SessionTask(index, wall) for index, wall in enumerate(node_walls)],
-            len(self.nodes),
-        )
-        storage_wall_ns = makespan_ns(slots)
-        work_breakdown = self.cost_model.phase_breakdown(
-            storage_meter, platform="arm", cores=1,
-            memory_limit_bytes=memory, in_realm=in_realm,
-        )
-        if pipelined:
-            work_breakdown = work_breakdown.copy().merge(ingest_breakdown)
-        if work_breakdown.total_ns > 0:
-            storage_breakdown = work_breakdown.scaled(
-                storage_wall_ns / work_breakdown.total_ns
-            )
-        else:
-            storage_breakdown = work_breakdown
-        phase_span.set_sim_ns(storage_breakdown.total_ns)
-        phase_span.set_attrs(
-            bytes_shipped=total_bytes, cpus=cpus, shards=self.shards,
-            pipelined=pipelined,
-        )
-
-        host_breakdown = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=secure
-        )
-        join_breakdown = (
-            host_breakdown.minus(ingest_breakdown) if pipelined else host_breakdown
-        )
-        host_span.set_sim_ns(join_breakdown.total_ns)
-        host_span.set_attrs(rows=len(result.rows))
-
-        transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes,
-            messages=max(1, total_batches if pipelined else total_bytes // 65536),
-        )
-        total = TimeBreakdown()
-        total.merge(monitor_breakdown)
-        total.merge(storage_breakdown)
-        overflow = transfer_ns - storage_breakdown.total_ns
-        if overflow > 0:
-            total.add(CAT_NETWORK, overflow)
-            span = self.tracer.event(
-                SPAN_CHANNEL_TRANSFER, node=NODE_NETWORK, bytes=total_bytes
-            )
-            if span is not None:
-                span.set_sim_ns(overflow)
-        total.merge(join_breakdown)
-        if secure:
-            total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
-            span = self.tracer.event(SPAN_SESSION_SETUP, node=NODE_HOST)
-            if span is not None:
-                span.set_sim_ns(self.cost_model.tls_handshake_ns)
-
-        plan_notes = notes + (
-            plan.notes if plan is not None else [manual.note]
-        )
-        return RunResult(
-            config="scs" if secure else "vcs",
-            columns=result.columns,
-            rows=result.rows,
-            breakdown=total,
-            storage_breakdown=storage_breakdown,
-            host_breakdown=host_breakdown,
-            storage_meter=storage_meter,
-            host_meter=host_meter,
-            bytes_shipped=total_bytes,
-            plan_notes=plan_notes,
-            portion_meters=portion_meters,
-            monitor_breakdown=monitor_breakdown,
-        )
-
-    def _ship_portion_serial(
-        self, ship, target, engines, channels, ship_meters,
-        node_meters, node_durations, portion_meters, run_config, manual,
-        *, secure, memory, in_realm,
-    ) -> None:
-        """Execute one ship on one shard and ship its rows (serial path)."""
-        engine = engines[target]
-        node = self.nodes[target]
-        ship_meter = ship_meters[target]
-        portion_meter = engine.fresh_meter()
-        portion_meters.append(portion_meter)
-        with self.tracer.span(
-            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm,
-            table=ship.table, shard=node.node_id,
-        ) as portion_span:
-            with self._attributed(node.node_id):
-                if manual is not None:
-                    result = engine.db.execute(ship.sql)
-                    columns, rows = result.columns, result.rows
-                    encoded = [encode_row(r) for r in rows]
-                    nbytes = sum(map(len, encoded))
-                    portion_meter.note_memory(nbytes)
-                    column_types = self._infer_column_types(columns, rows)
-                else:
-                    columns, rows, nbytes, encoded = engine.execute_scan(ship)
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
-            portion_breakdown = self.cost_model.phase_breakdown(
-                portion_meter, platform="arm", cores=1,
-                memory_limit_bytes=memory, in_realm=in_realm,
-            )
-            node_durations[target].append(portion_breakdown.total_ns)
-            node_meters[target].merge(portion_meter)
-            if secure:
-                chan_host, chan_node = channels[target]
-                shipped_before = ship_meter.channel_bytes_encrypted
-                with self.tracer.span(
-                    SPAN_CHANNEL_SHIP, node=NODE_STORAGE,
-                    table=ship.table, shard=node.node_id,
-                ) as ship_span:
-                    # Each shard pads against its *own* catalog bound, so
-                    # its channel trace is predicate-independent on its
-                    # own — shard traces never need cross-correlation.
-                    schedule = None
-                    if fixed_ship_schedule(run_config.oblivious):
-                        schedule = self._ship_schedule(
-                            engine, ship.table, record_rows=RECORD_ROWS
-                        )
-                    records = 0
-                    for start in range(0, max(1, len(rows)), RECORD_ROWS):
-                        payload = b"".join(encoded[start : start + RECORD_ROWS])
-                        if pads_channel(run_config.oblivious):
-                            raw = len(payload)
-                            payload = pad_frame(
-                                payload,
-                                target=(schedule.frame_bytes if schedule else None),
-                            )
-                            ship_meter.bump("oblivious_pad_bytes", len(payload) - raw)
-                        chan_node.send(payload, charge_time=False)
-                        chan_host.receive()
-                        records += 1
-                    if schedule is not None:
-                        for _ in range(max(0, schedule.units - records)):
-                            filler = dummy_frame(schedule.frame_bytes)
-                            ship_meter.bump("oblivious_dummy_batches")
-                            ship_meter.bump("oblivious_pad_bytes", len(filler))
-                            chan_node.send(filler, charge_time=False)
-                            chan_host.receive()
-                shipped = ship_meter.channel_bytes_encrypted - shipped_before
-                ship_span.set_sim_ns(
-                    shipped * self.cost_model.channel_crypto_ns_per_byte
-                )
-                ship_span.set_attrs(bytes=nbytes, rows=len(rows))
-            self.host_engine.receive_table(ship.table, column_types, rows)
-        portion_span.set_sim_ns(portion_breakdown.total_ns)
-        portion_span.set_attrs(rows=len(rows), bytes=nbytes)
-        self._last_bytes = nbytes
-
-    def _ship_portion_pipelined(
-        self, ship, target, engines, channels, ship_meters, host_meter,
-        node_meters, node_durations, node_serial_ns, node_ingest,
-        ingest_breakdown, portion_meters, run_config, compress_level,
-        *, secure, memory, in_realm,
-    ) -> None:
-        """Stream one ship from one shard (pipelined path)."""
-        engine = engines[target]
-        node = self.nodes[target]
-        ship_meter = ship_meters[target]
-        portion_meter = engine.fresh_meter()
-        portion_meters.append(portion_meter)
-        ship_before = ship_meter.copy()
-        host_before = host_meter.copy()
-        with self.tracer.span(
-            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=in_realm,
-            table=ship.table, shard=node.node_id,
-        ) as portion_span:
-            table_name = ship.table
-            schedule = None
-            fixed_rows = None
-            if fixed_ship_schedule(run_config.oblivious):
-                schedule = self._ship_schedule(
-                    engine, table_name, batch_bytes=run_config.batch_bytes
-                )
-                fixed_rows = schedule.rows_per_unit
-            with self._attributed(node.node_id):
-                if hasattr(ship, "sql"):
-                    columns, batches = engine.stream_sql(
-                        ship.sql,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
-                    )
-                    column_types = None
-                else:
-                    columns, batches = engine.stream_scan(
-                        ship,
-                        batch_bytes=run_config.batch_bytes,
-                        fixed_rows=fixed_rows,
-                    )
-                    schema = engine.db.store.catalog.table(ship.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in ship.columns
-                    ]
-                    self.host_engine.begin_table(table_name, column_types)
-                if schedule is not None:
-                    batches = list(batches)
-                row_weights: list[int] = []
-                byte_weights: list[int] = []
-                ship_rows = 0
-                ship_bytes = 0
-                for batch in batches:
-                    if column_types is None:
-                        column_types = self._infer_column_types(
-                            columns, list(batch.rows)
-                        )
-                        self.host_engine.begin_table(table_name, column_types)
-                    frame, saved = pack_frame(batch.payload, compress_level)
-                    if pads_channel(run_config.oblivious):
-                        raw = len(frame)
-                        frame = pad_frame(
-                            frame,
-                            target=(schedule.frame_bytes if schedule else None),
-                        )
-                        ship_meter.bump("oblivious_pad_bytes", len(frame) - raw)
-                    ship_meter.bump("batches_shipped")
-                    if saved:
-                        ship_meter.bump("channel_bytes_saved", saved)
-                        ship_meter.bump("batch_bytes_compressed", batch.nbytes)
-                        host_meter.bump("batch_bytes_decompressed", batch.nbytes)
-                    if secure:
-                        chan_host, chan_node = channels[target]
-                        chan_node.send(frame, charge_time=False)
-                        received = chan_host.receive()
-                    else:
-                        received = frame
-                    if pads_channel(run_config.oblivious):
-                        received = unpad_frame(received)
-                    payload, _ = unpack_frame(received)
-                    self.host_engine.ingest_batch(table_name, payload)
-                    row_weights.append(batch.row_count)
-                    byte_weights.append(len(frame))
-                    ship_rows += batch.row_count
-                    ship_bytes += len(frame)
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            SPAN_SHIP_BATCH, node=NODE_STORAGE,
-                            table=table_name, shard=node.node_id,
-                            seq=len(row_weights) - 1, rows=batch.row_count,
-                            bytes=len(frame), saved=saved,
-                        )
-                if column_types is None:
-                    column_types = self._infer_column_types(columns, [])
-                    self.host_engine.begin_table(table_name, column_types)
-                if schedule is not None:
-                    for _ in range(max(0, schedule.units - len(row_weights))):
-                        filler = dummy_frame(schedule.frame_bytes)
-                        ship_meter.bump("batches_shipped")
-                        ship_meter.bump("oblivious_dummy_batches")
-                        ship_meter.bump("oblivious_pad_bytes", len(filler))
-                        if secure:
-                            chan_host, chan_node = channels[target]
-                            chan_node.send(filler, charge_time=False)
-                            dropped = chan_host.receive()
-                        else:
-                            dropped = filler
-                        assert unpad_frame(dropped) is None
-                        row_weights.append(0)
-                        byte_weights.append(len(filler))
-                        ship_bytes += len(filler)
-                self.host_engine.finish_table(table_name)
-
-            portion_breakdown = self.cost_model.phase_breakdown(
-                portion_meter, platform="arm", cores=1,
-                memory_limit_bytes=memory, in_realm=in_realm,
-            )
-            ship_cost = self.cost_model.phase_breakdown(
-                ship_meter.delta(ship_before), platform="arm", cores=1,
-                memory_limit_bytes=memory, in_realm=in_realm,
-            )
-            ingest_cost = self.cost_model.phase_breakdown(
-                host_meter.delta(host_before), platform="x86", in_enclave=secure
-            )
-            ingest_breakdown.merge(ingest_cost)
-            node_ingest[target].merge(ingest_cost)
-            timings = [
-                BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
-                for s, c, h in zip(
-                    apportion_ns(portion_breakdown.total_ns, row_weights),
-                    apportion_ns(ship_cost.total_ns, byte_weights),
-                    apportion_ns(ingest_cost.total_ns, row_weights),
-                )
-            ]
-            serial_ns = (
-                portion_breakdown.total_ns + ship_cost.total_ns + ingest_cost.total_ns
-            )
-            makespan = pipelined_ns(timings) if timings else serial_ns
-            node_durations[target].append(makespan)
-            node_serial_ns[target] += serial_ns
-            node_meters[target].merge(portion_meter)
-        portion_span.set_sim_ns(makespan)
-        portion_span.set_attrs(
-            rows=ship_rows, bytes=ship_bytes, batches=len(row_weights),
-            serial_ns=serial_ns,
-        )
-        self._last_bytes = ship_bytes
-        self._last_batches = len(row_weights)
-
     # -- storage-only (sos): per-shard partials, host-side final ----------
 
-    def _run_storage_only_sharded(
-        self, statement, cpus, memory, run_config=None
-    ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
+    def _run_storage_only(self, statement, cpus, memory, run_config) -> RunResult:
+        if len(self.nodes) == 1:
+            # One node holds every row: the whole query runs there.
+            return super()._run_storage_only(statement, cpus, memory, run_config)
+        options = run_config.exec_options
         split = decompose_aggregate(statement)
         if split is None:
             raise PartitionError(
@@ -818,12 +273,6 @@ class ShardedDeployment(Deployment):
                 "query (single-table partial→final aggregation); run this query "
                 "under scs, or on a single-shard deployment"
             )
-        for node in self.nodes:
-            node.engine.set_zone_maps(run_config.zone_maps)
-            node.engine.set_oblivious(run_config.oblivious)
-            node.engine.set_vectorized(run_config.vectorized)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
 
         stores = [node.engine.db.store for node in self.nodes]
         catalog = stores[0].catalog
@@ -873,7 +322,7 @@ class ShardedDeployment(Deployment):
                     table=split.base_table, shard=node.node_id,
                 ) as portion_span:
                     with self._attributed(node.node_id):
-                        result = node.engine.execute_full(split.partial)
+                        result = node.engine.execute_full(split.partial, options)
                 breakdown = self.cost_model.phase_breakdown(
                     meter, platform="arm", cores=1,
                     memory_limit_bytes=memory, in_realm=self.armv9_realms,
@@ -905,21 +354,23 @@ class ShardedDeployment(Deployment):
 
         # Host-side final: fold the shipped partials inside the enclave.
         host_meter.bump("partial_aggs_merged", len(partial_rows))
-        self.host_engine.begin_session()
-        with self.tracer.span(
-            SPAN_SHARD_MERGE, node=NODE_HOST, enclave=True,
-            partials=len(partial_rows), shards=len(targets),
-        ) as merge_span:
-            columns = (
-                partial_columns if partial_columns is not None
-                else split.partial_columns
-            )
-            column_types = self._infer_column_types(columns, partial_rows)
-            self.host_engine.receive_table(
-                split.partial_table, column_types, partial_rows
-            )
-            result = self.host_engine.run(split.final)
-            self.monitorless_cleanup()
+        self.host_engine.begin_session(options)
+        try:
+            with self.tracer.span(
+                SPAN_SHARD_MERGE, node=NODE_HOST, enclave=True,
+                partials=len(partial_rows), shards=len(targets),
+            ) as merge_span:
+                columns = (
+                    partial_columns if partial_columns is not None
+                    else split.partial_columns
+                )
+                column_types = self._infer_column_types(columns, partial_rows)
+                self.host_engine.receive_table(
+                    split.partial_table, column_types, partial_rows
+                )
+                result = self.host_engine.run(split.final)
+        finally:
+            self.host_engine.end_session()
         host_breakdown = self.cost_model.phase_breakdown(
             host_meter, platform="x86", in_enclave=True
         )
@@ -961,80 +412,66 @@ class ShardedDeployment(Deployment):
 
     # -- host-only (hons / hos): the host pulls pages from every shard ----
 
-    def _run_host_only_sharded(
-        self, statement, secure, run_config=None
-    ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
+    def _run_host_only(self, statement, secure, run_config) -> RunResult:
+        if len(self.nodes) == 1:
+            # One node holds every row: the host opens its device directly.
+            return super()._run_host_only(statement, secure, run_config)
+        options = run_config.exec_options
         plan = self.partitioner.partition(statement)
-        self.host_engine.set_oblivious(run_config.oblivious)
-        self.host_engine.set_vectorized(run_config.vectorized)
         host_meter = self.host_engine.fresh_meter()
-        self.host_engine.begin_session()
         fetch_breakdown = TimeBreakdown()
         portion_meters: list[Meter] = []
-        with self.tracer.span(
-            SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure, shards=self.shards
-        ) as exec_span:
-            for index, node in enumerate(self.nodes):
-                db, pager = self._host_only_db(
-                    secure,
-                    engine=node.engine,
-                    plain_device=node.plain_device,
-                    rng_label=f"host-pager-{node.node_id}",
-                )
-                if secure:
-                    pager.on_violation = self._node_violation(node.node_id)
-                db.set_zone_maps(run_config.zone_maps)
-                db.set_oblivious(run_config.oblivious)
-                db.set_vectorized(run_config.vectorized)
-                db.tracer = self.tracer
-                meter = Meter()
-                db.store.meter = meter
-                pager.meter = meter
-                if secure:
-                    pager.tree.meter = meter
-                    pager.tracer = self.tracer
-                    pager.trace_node = NODE_HOST
-                for scan in plan.scans:
-                    if index > 0 and self.sharding.is_replicated(scan.table):
-                        continue
-                    with self._attributed(node.node_id):
-                        fetched = db.execute_statement(scan.to_select())
-                    schema = node.engine.db.store.catalog.table(scan.table)
-                    column_types = [
-                        (name, schema.column_type(name)) for name in scan.columns
-                    ]
-                    self.host_engine.receive_table(
-                        scan.table, column_types, fetched.rows
-                    )
-                if secure:
-                    meter.enclave_transitions += 2 * meter.pages_read
-                    meter.peak_memory_bytes += pager.tree_size_bytes()
-                portion_meters.append(meter)
-                # The host is one machine pulling remote pages shard after
-                # shard: the fetches serialize (this is exactly why the
-                # optimizer steers large scans away from host-only).
-                fetch_breakdown.merge(
-                    self.cost_model.phase_breakdown(
-                        meter, platform="x86", in_enclave=secure, remote_io=True
-                    )
-                )
+        self.host_engine.begin_session(options)
+        try:
             with self.tracer.span(
-                SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
-            ) as host_span:
-                result = self.host_engine.run(statement)
-                self.monitorless_cleanup()
-            host_exec = self.cost_model.phase_breakdown(
-                host_meter, platform="x86", in_enclave=secure
-            )
-            host_span.set_sim_ns(host_exec.total_ns)
-            host_span.set_attrs(rows=len(result.rows))
-            total = fetch_breakdown.copy().merge(host_exec)
-            exec_span.set_sim_ns(total.total_ns)
-            exec_span.set_attrs(
-                rows=len(result.rows),
-                pages_read=sum(m.pages_read for m in portion_meters),
-            )
+                SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure, shards=self.shards
+            ) as exec_span:
+                for index, node in enumerate(self.nodes):
+                    db, pager, meter = self._host_only_db(
+                        secure, node, rng_label=f"host-pager-{node.node_id}"
+                    )
+                    if secure:
+                        pager.on_violation = self._node_violation(node.node_id)
+                    for scan in plan.scans:
+                        if index > 0 and self.sharding.is_replicated(scan.table):
+                            continue
+                        with self._attributed(node.node_id):
+                            fetched = db.execute_statement(
+                                scan.to_select(), options=options
+                            )
+                        self.host_engine.receive_table(
+                            scan.table,
+                            self._scan_column_types(node.engine, scan),
+                            fetched.rows,
+                        )
+                    if secure:
+                        self._charge_enclave_paging(meter, pager)
+                    portion_meters.append(meter)
+                    # The host is one machine pulling remote pages shard after
+                    # shard: the fetches serialize (this is exactly why the
+                    # optimizer steers large scans away from host-only).
+                    fetch_breakdown.merge(
+                        self.cost_model.phase_breakdown(
+                            meter, platform="x86", in_enclave=secure, remote_io=True
+                        )
+                    )
+                with self.tracer.span(
+                    SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
+                ) as host_span:
+                    result = self.host_engine.run(statement)
+        finally:
+            self.host_engine.end_session()
+        host_exec = self.cost_model.phase_breakdown(
+            host_meter, platform="x86", in_enclave=secure
+        )
+        host_span.set_sim_ns(host_exec.total_ns)
+        host_span.set_attrs(rows=len(result.rows))
+        total = fetch_breakdown.copy().merge(host_exec)
+        exec_span.set_sim_ns(total.total_ns)
+        exec_span.set_attrs(
+            rows=len(result.rows),
+            pages_read=sum(m.pages_read for m in portion_meters),
+        )
         for meter in portion_meters:
             host_meter.merge(meter)
         return RunResult(

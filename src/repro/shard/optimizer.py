@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 
 import math
 
-from ..core import decompose_aggregate, pruning_for_scan, statement_shape
+from ..core import (
+    decompose_aggregate,
+    lpt_makespan_ns,
+    pruning_for_scan,
+    statement_shape,
+)
 from ..sim import Meter, PAGE_SIZE
 
 #: Security class each configuration belongs to; ``auto`` never crosses.
@@ -246,7 +251,7 @@ class OffloadOptimizer:
             # they run concurrently: one shard's share of the duration.
             scan_ns.append(breakdown.total_ns / max(1, min(stat.fanout, shards)))
             total_ship_bytes += stat.ship_bytes
-        storage_ns = _lpt(scan_ns, cpus)
+        storage_ns = lpt_makespan_ns(scan_ns, cpus)
         if secure:
             crypt = Meter()
             crypt.channel_bytes_encrypted = total_ship_bytes
@@ -342,7 +347,7 @@ class OffloadOptimizer:
             per_shard_ns.append(
                 breakdown.total_ns / max(1, min(stat.fanout, shards))
             )
-        total = _lpt(per_shard_ns, cpus)
+        total = lpt_makespan_ns(per_shard_ns, cpus)
         if shards > 1 and split is not None:
             # Partial shipping + host-side final merge.
             partial_bytes = partial_rows * 64
@@ -412,16 +417,3 @@ class OffloadOptimizer:
             scans=stats,
             notes=notes,
         )
-
-
-# -- small local helpers ------------------------------------------------
-
-
-def _lpt(durations, workers: int) -> float:
-    if not durations:
-        return 0.0
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        index = min(range(len(loads)), key=loads.__getitem__)
-        loads[index] += duration
-    return max(loads)

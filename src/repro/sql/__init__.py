@@ -9,13 +9,14 @@ arithmetic, ORDER BY / LIMIT / DISTINCT, and basic DML/DDL.
 
 from .ast_nodes import Select, Statement
 from .catalog import Catalog, TableSchema
-from .engine import Database, Result, memory_database, paged_database
+from .engine import Database, ExecOptions, Result, memory_database, paged_database
 from .parser import parse, parse_expression
 from .stores import MemoryStore, PagedStore, TableStore
 
 __all__ = [
     "Catalog",
     "Database",
+    "ExecOptions",
     "MemoryStore",
     "PagedStore",
     "Result",

@@ -38,6 +38,31 @@ class Result:
         return self.rows[0][0]
 
 
+@dataclass(frozen=True)
+class ExecOptions:
+    """How one statement executes.  Passed per call and never stored on a
+    database, so nothing set for one query can reach the next.
+
+    The defaults are the seed behaviour: every page read, hash join and
+    group-by, one tuple at a time.
+    """
+
+    #: Consult zone maps to skip pages a sargable filter provably cannot
+    #: match.  A no-op on stores without synopses (the host's memory store).
+    zone_maps: bool = False
+    #: Oblivious tier (``repro.oblivious``): ``padded``/``full`` make pruned
+    #: scans still fetch every page, so the device schedule is
+    #: predicate-independent; ``full`` additionally swaps hash join and
+    #: group-by for the bitonic-shuffle variants.
+    oblivious: str = "off"
+    #: Plan the morsel operators of :mod:`repro.sql.vexec` wherever the
+    #: query's expressions have a batch form, falling back per operator.
+    vectorized: bool = False
+
+    def __post_init__(self) -> None:
+        validate_tier(self.oblivious)
+
+
 def _bind_select(select: A.Select, params: tuple) -> A.Select:
     """Recursively substitute `?` placeholders throughout a SELECT."""
     if not params:
@@ -72,12 +97,6 @@ class Database:
 
     def __init__(self, store: TableStore | None = None):
         self.store = store if store is not None else MemoryStore()
-        #: Oblivious-execution tier for subsequent statements (see
-        #: :meth:`set_oblivious`).  ``off`` is the seed behaviour.
-        self._oblivious = "off"
-        #: Batch-at-a-time execution for subsequent statements (see
-        #: :meth:`set_vectorized`).  Off is the seed behaviour.
-        self._vectorized = False
         #: Optional query tracer handed to each statement's ExecContext;
         #: engines install theirs here when tracing is enabled.
         self.tracer = None
@@ -88,21 +107,29 @@ class Database:
 
     # ------------------------------------------------------------------
 
-    def execute(self, sql: str, params: tuple = ()) -> Result:
+    def execute(
+        self, sql: str, params: tuple = (), options: ExecOptions = ExecOptions()
+    ) -> Result:
         """Parse and run one statement."""
         statement = parse(sql)
-        return self.execute_statement(statement, params)
+        return self.execute_statement(statement, params, options)
 
-    def execute_statement(self, statement: A.Statement, params: tuple = ()) -> Result:
+    def execute_statement(
+        self,
+        statement: A.Statement,
+        params: tuple = (),
+        options: ExecOptions = ExecOptions(),
+    ) -> Result:
+        """Run one statement; *options* apply to the SELECTs it runs."""
         if isinstance(statement, A.Select):
-            return self._run_select(statement, params)
+            return self._run_select(statement, params, options)
         if isinstance(statement, A.CreateTable):
             return self._run_create(statement)
         if isinstance(statement, A.DropTable):
             self.store.drop_table(statement.name)
             return Result(columns=[], rows=[])
         if isinstance(statement, A.Insert):
-            return self._run_insert(statement, params)
+            return self._run_insert(statement, params, options)
         if isinstance(statement, A.Update):
             return self._run_update(statement, params)
         if isinstance(statement, A.Delete):
@@ -111,21 +138,34 @@ class Database:
 
     # ------------------------------------------------------------------
 
-    def _run_select(self, select: A.Select, params: tuple) -> Result:
+    def _plan(self, select: A.Select, params: tuple, options: ExecOptions):
+        """Bind and plan *select*: (root operator, output column names)."""
         select = _bind_select(select, params)
         ctx = ExecContext(
             self.store.meter,
-            oblivious=oblivious_operators(self._oblivious),
-            vectorized=self._vectorized,
+            oblivious=oblivious_operators(options.oblivious),
+            vectorized=options.vectorized,
+            prune_scans=options.zone_maps,
+            pad_scans=pads_pages(options.oblivious),
             tracer=self.tracer,
         )
         planner = Planner(self.store, ctx)
-        op = planner.plan_select(select)
+        return planner.plan_select(select), planner.output_names(select)
+
+    def _run_select(
+        self, select: A.Select, params: tuple, options: ExecOptions
+    ) -> Result:
+        op, columns = self._plan(select, params, options)
         rows = list(op.rows())
         self.store.meter.rows_output += len(rows)
-        return Result(columns=planner.output_names(select), rows=rows)
+        return Result(columns=columns, rows=rows)
 
-    def stream_select(self, select: A.Select, params: tuple = ()):
+    def stream_select(
+        self,
+        select: A.Select,
+        params: tuple = (),
+        options: ExecOptions = ExecOptions(),
+    ):
         """Plan a SELECT and return ``(columns, row_iterator)``.
 
         Unlike :meth:`_run_select` the result is never materialized here:
@@ -135,16 +175,7 @@ class Database:
         materialized path — ``rows_output`` just accrues per row instead
         of once at the end.
         """
-        select = _bind_select(select, params)
-        ctx = ExecContext(
-            self.store.meter,
-            oblivious=oblivious_operators(self._oblivious),
-            vectorized=self._vectorized,
-            tracer=self.tracer,
-        )
-        planner = Planner(self.store, ctx)
-        op = planner.plan_select(select)
-        columns = planner.output_names(select)
+        op, columns = self._plan(select, params, options)
         meter = self.store.meter
 
         def rows():
@@ -163,10 +194,12 @@ class Database:
         self.store.create_table(schema)
         return Result(columns=[], rows=[])
 
-    def _run_insert(self, statement: A.Insert, params: tuple) -> Result:
+    def _run_insert(
+        self, statement: A.Insert, params: tuple, options: ExecOptions
+    ) -> Result:
         schema = self.store.catalog.table(statement.table)
         if statement.select is not None:
-            sub = self._run_select(statement.select, params)
+            sub = self._run_select(statement.select, params, options)
             rows = sub.rows
         else:
             compiler = ExprCompiler(Scope([]))
@@ -235,41 +268,6 @@ class Database:
         return Result(columns=[], rows=[], rowcount=len(matching))
 
     # ------------------------------------------------------------------
-
-    def set_zone_maps(self, enabled: bool) -> None:
-        """Toggle zone-map skip-scans on the backing store.
-
-        A no-op for stores without synopses (the host engine's
-        :class:`MemoryStore`), so callers can set it unconditionally from
-        the run config.
-        """
-        if hasattr(self.store, "zone_maps"):
-            self.store.prune_scans = bool(enabled)
-
-    def set_oblivious(self, tier: str) -> None:
-        """Select the oblivious-execution tier for subsequent statements.
-
-        ``padded``/``full`` make pruned scans fetch every page (dummy
-        reads keep the device schedule predicate-independent); ``full``
-        additionally swaps hash join / group-by for the bitonic-shuffle
-        variants.  Like :meth:`set_zone_maps` this is safe to call
-        unconditionally: stores without pages simply have no schedule to
-        pad, and ``off`` restores the seed behaviour bit for bit.
-        """
-        self._oblivious = validate_tier(tier)
-        if hasattr(self.store, "pad_scans"):
-            self.store.pad_scans = pads_pages(tier)
-
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle batch-at-a-time (morsel) execution for later statements.
-
-        When on, the planner builds the vectorized operators of
-        :mod:`repro.sql.vexec` wherever the query's expressions have a
-        batch form, falling back per operator otherwise.  Safe to call
-        unconditionally from the run config; ``False`` restores the seed
-        row path bit for bit.
-        """
-        self._vectorized = bool(enabled)
 
     def commit(self) -> None:
         self.store.commit()

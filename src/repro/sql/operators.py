@@ -28,6 +28,8 @@ class ExecContext:
         *,
         oblivious: bool = False,
         vectorized: bool = False,
+        prune_scans: bool = False,
+        pad_scans: bool = False,
         tracer=None,
     ):
         self.meter = meter if meter is not None else Meter()
@@ -43,6 +45,14 @@ class ExecContext:
         #: allows, falling back per operator otherwise.  Off keeps the
         #: seed row path bit for bit.
         self.vectorized = vectorized
+        #: Zone-map skip-scans: the planner lowers sargable pushed-down
+        #: filters into a pruning predicate on scans of stores that keep
+        #: synopses.  Off reads every page (the seed scan path).
+        self.prune_scans = prune_scans
+        #: Padded (oblivious) scans: a pruned scan still *fetches* every
+        #: page through the full read → MAC → Merkle → decrypt pipeline,
+        #: so the device-visible schedule is predicate-independent.
+        self.pad_scans = pad_scans
         #: Optional query tracer (duck-typed; see ``repro.telemetry``)
         #: the vectorized operators emit per-batch events to.
         self.tracer = tracer
@@ -80,13 +90,15 @@ class SeqScan(Operator):
         self.store = store
         self.table_name = table_name
         # Optional zone-map pruning predicate the planner attaches when the
-        # store has skip-scans enabled; None keeps the seed scan path.
+        # query runs with skip-scans on; None keeps the seed scan path.
         self.pruning = None
 
     def rows(self) -> Iterator[tuple]:
         meter = self.ctx.meter
         if self.pruning is not None:
-            source = self.store.scan(self.table_name, pruning=self.pruning)
+            source = self.store.scan(
+                self.table_name, pruning=self.pruning, pad=self.ctx.pad_scans
+            )
         else:
             source = self.store.scan(self.table_name)
         for row in source:

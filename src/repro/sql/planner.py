@@ -585,12 +585,14 @@ class Planner:
             else:
                 residuals.append(conjunct)
 
-        # Push single-item filters below the joins.  When the store has
-        # skip-scans enabled, additionally lower the sargable conjuncts
-        # into a zone-map pruning predicate on the scan itself.
+        # Push single-item filters below the joins.  When the query runs
+        # with skip-scans on (and the store keeps synopses), additionally
+        # lower the sargable conjuncts into a zone-map pruning predicate
+        # on the scan itself.
+        prune = self.ctx.prune_scans and hasattr(self.store, "zone_maps")
         for i, conjs in push_filters.items():
             op = joined_ops[i].op
-            if isinstance(op, SeqScan) and getattr(self.store, "prune_scans", False):
+            if prune and isinstance(op, SeqScan):
                 schema = self.store.catalog.table(op.table_name)
                 op.pruning = extract_pruning(
                     conjs, op.scope, [t for _, t in schema.columns]

@@ -128,9 +128,12 @@ class MemoryStore(TableStore):
         """
         self._morsels.setdefault(name, []).append(morsel)
 
-    def scan_morsels(self, name: str, pruning=None) -> Iterator[Morsel]:
-        """Morsel-granular scan; *pruning* is accepted for interface parity
-        with :class:`PagedStore` but there are no pages to skip here."""
+    def scan_morsels(
+        self, name: str, pruning=None, pad: bool = False
+    ) -> Iterator[Morsel]:
+        """Morsel-granular scan; *pruning* and *pad* are accepted for
+        interface parity with :class:`PagedStore` but there are no pages
+        to skip here."""
         self.catalog.table(name)  # existence check
         rows = self._rows[name]
         stash = self._morsels.get(name)
@@ -167,16 +170,6 @@ class PagedStore(TableStore):
         self._free_pages: list[int] = []
         blob = pager.device.read_meta(CATALOG_META_KEY)
         self.catalog = Catalog.deserialize(blob) if blob else Catalog()
-        #: Whether scans may consult zone maps to skip pages.  Off by
-        #: default (the seed scan path); toggled per query from
-        #: ``RunConfig.zone_maps`` via :meth:`Database.set_zone_maps`.
-        self.prune_scans = False
-        #: Whether pruned scans must still *fetch* every page (dummy
-        #: reads through the full read → MAC → Merkle → decrypt pipeline)
-        #: so the device-visible schedule is predicate-independent.  Set
-        #: per query from ``RunConfig.oblivious`` via
-        #: :meth:`Database.set_oblivious`; see ``repro.oblivious``.
-        self.pad_scans = False
         self.zone_maps: dict[str, TableZoneMaps] = self._load_zone_maps()
 
     def _next_page(self) -> int:
@@ -294,7 +287,12 @@ class PagedStore(TableStore):
     #: small enough to keep scans streaming.
     SCAN_BATCH_PAGES = 32
 
-    def scan(self, name: str, pruning=None) -> Iterator[tuple]:
+    def scan(self, name: str, pruning=None, pad: bool = False) -> Iterator[tuple]:
+        """Rows of *name*; *pruning* skips pages its zone maps rule out.
+
+        With *pad* (the oblivious tiers) a pruned scan still fetches every
+        page, so what the device sees does not depend on the predicate.
+        """
         schema = self.catalog.table(name)
         pages = schema.pages
         if pruning is not None and pruning:
@@ -303,7 +301,7 @@ class PagedStore(TableStore):
             # Merkle → decrypt → decode pipeline — and, on a caching
             # pager, is neither fetched nor admitted.
             pages = self._pruned_pages(name, schema, pruning)
-            if self.pad_scans and len(pages) < len(schema.pages):
+            if pad and len(pages) < len(schema.pages):
                 # Padded (oblivious) scan: every page is still fetched in
                 # schedule order through the full pipeline — the device
                 # sees the same trace for every predicate — but pruned
@@ -315,18 +313,20 @@ class PagedStore(TableStore):
                 return self._scan_pages(schema.pages, frozenset(pages))
         return self._scan_pages(pages, None)
 
-    def scan_morsels(self, name: str, pruning=None) -> Iterator[Morsel]:
+    def scan_morsels(
+        self, name: str, pruning=None, pad: bool = False
+    ) -> Iterator[Morsel]:
         """Morsel-granular scan with :meth:`scan`'s exact page behaviour.
 
         Decoded rows are re-chunked into morsels on top of the *same*
         page-read schedule — zone-map pruning counters, tracer events and
-        the oblivious ``pad_scans`` dummy reads included — so the
+        the oblivious *pad* dummy reads included — so the
         device-visible trace of a vectorized scan is byte-identical to
         the row scan's for every predicate.
         """
         schema = self.catalog.table(name)
         width = len(schema.columns)
-        return morsels_from_rows(self.scan(name, pruning=pruning), width)
+        return morsels_from_rows(self.scan(name, pruning=pruning, pad=pad), width)
 
     def _scan_pages(
         self, pages: list[int], kept: frozenset[int] | None

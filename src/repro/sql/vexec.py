@@ -420,7 +420,9 @@ class VSeqScan(SeqScan):
         meter = self.ctx.meter
         scan_morsels = getattr(self.store, "scan_morsels", None)
         if scan_morsels is not None:
-            source = scan_morsels(self.table_name, pruning=self.pruning)
+            source = scan_morsels(
+                self.table_name, pruning=self.pruning, pad=self.ctx.pad_scans
+            )
         else:
             source = morsels_from_rows(
                 self.store.scan(self.table_name), len(self.scope)

@@ -40,6 +40,7 @@ SHIP_POINTS = {
     "paper_full": RunConfig(pipeline=False, oblivious="full"),
     "streaming_compressed": RunConfig(compress=True),
 }
+ALL_POINTS = {**POINTS, **SHIP_POINTS}
 
 #: name -> (sql, manual partition): a scan, a group-by, two joins, and one
 #: hand-partitioned query (its partition only applies under vcs/scs).
@@ -99,7 +100,7 @@ def single_node_cases():
     deployment, recorder = _observed(Deployment(scale_factor=SF, seed=SEED))
     for config in CONFIGS:
         split = CONFIGS[config].split_execution
-        points = {**POINTS, **SHIP_POINTS} if split else POINTS
+        points = ALL_POINTS if split else POINTS
         for shape, (sql, manual) in SHAPES.items():
             for point, run_config in points.items():
                 if split and not _runnable(manual, run_config):
@@ -127,7 +128,7 @@ def sharded_cases():
                     )
         if shards == 2:
             for point in ("paper_full", "full", "zone_maps"):
-                run_config = {**POINTS, **SHIP_POINTS}[point]
+                run_config = ALL_POINTS[point]
                 yield (
                     f"shards2/scs/q6_scan/{point}",
                     observe(

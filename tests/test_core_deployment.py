@@ -138,10 +138,20 @@ class TestDeploymentConfigs:
         assert tight.total_ms > roomy.total_ms
 
     def test_monitor_session_opened_for_scs(self, tiny_deployment):
-        before = len(tiny_deployment.monitor.key_manager.active_sessions())
+        # One monitor session per scs query — opened by the runner, so
+        # closed by the runner: its key must not stay live afterwards.
+        monitor = tiny_deployment.monitor
+
+        def closed():
+            operations = monitor.audit_log("operations")
+            return [e.detail for e in operations.entries if e.action == "finish_session"]
+
+        before = closed()
+        active = len(monitor.key_manager.active_sessions())
         tiny_deployment.run_query(ALL_QUERIES[6].sql, "scs")
-        after = len(tiny_deployment.monitor.key_manager.active_sessions())
-        assert after == before + 1
+        (session_id,) = closed()[len(before):]
+        assert not monitor.key_manager.session(session_id).active
+        assert len(monitor.key_manager.active_sessions()) == active
 
     def test_attestation_breakdown(self, tiny_deployment):
         # attest_all ran in the fixture; Table 4 anchors must be present.

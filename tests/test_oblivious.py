@@ -246,43 +246,6 @@ class TestFixedRowsAssembler:
             BatchAssembler(fixed_rows=1_000_000)
 
 
-# ---------------------------------------------------------------------------
-# Off tier == seed, in every configuration
-# ---------------------------------------------------------------------------
-
-
-class TestOffTierIdentity:
-    def test_off_tier_byte_identical_across_configs(self):
-        """`oblivious="off"` is not a near-miss of the seed: rows, meters,
-        simulated time and the observable trace all match the default
-        config exactly, in all five deployment configurations."""
-        default = Deployment(scale_factor=SCALE, seed=SEED)
-        explicit = Deployment(scale_factor=SCALE, seed=SEED)
-        default.attest_all()
-        explicit.attest_all()
-        rec_default = default.enable_observability()
-        rec_explicit = explicit.enable_observability()
-        sql = _groupby_query(1, 60)
-        for config in ALL_CONFIGS:
-            base = default.run_query(
-                sql, config, run_config=RunConfig(zone_maps=True)
-            )
-            off = explicit.run_query(
-                sql, config,
-                run_config=RunConfig(zone_maps=True, oblivious="off"),
-            )
-            assert off.rows == base.rows, config
-            assert off.storage_meter == base.storage_meter, config
-            assert off.host_meter == base.host_meter, config
-            assert off.breakdown.total_ns == base.breakdown.total_ns, config
-            assert (
-                rec_explicit.last_trace().fingerprint()
-                == rec_default.last_trace().fingerprint()
-            ), config
-            assert off.storage_meter.get("oblivious_dummy_reads") == 0
-            assert off.storage_meter.get("oblivious_pad_bytes") == 0
-
-
 class TestVectorizedComposition:
     """ISSUE 9: the morsel executor must compose with the oblivious
     tiers without widening the observable channel.  Vectorized scans

@@ -15,7 +15,7 @@ import sqlite3
 import pytest
 
 from repro.crypto import Rng
-from repro.sql import memory_database
+from repro.sql import ExecOptions, memory_database
 
 ROWS_T = 180
 ROWS_U = 60
@@ -215,14 +215,9 @@ def test_randomized_group_queries(engines):
 
 
 def _row_and_vectorized(db, sql):
-    """Run *sql* under both execution models, leaving the knob off."""
-    db.set_vectorized(False)
+    """Run *sql* under both execution models."""
     row = db.execute(sql).rows
-    db.set_vectorized(True)
-    try:
-        vec = db.execute(sql).rows
-    finally:
-        db.set_vectorized(False)
+    vec = db.execute(sql, options=ExecOptions(vectorized=True)).rows
     return row, vec
 
 
@@ -257,31 +252,6 @@ def test_randomized_vectorized_parity(engines):
         assert sorted(vec_rows, key=repr) == sorted(row_rows, key=repr), sql
         if shape != 1:  # avg() NULL handling differs from SQLite's text affinity
             _compare(vec_rows, oracle.execute(sql).fetchall(), False)
-
-
-def test_vectorized_off_is_byte_identical_across_configs(tiny_deployment):
-    """With the knob off, every deployment configuration must be
-    bit-for-bit the seed row path: same rows, same meters, same
-    simulated nanoseconds — on both the serial and the pipelined ship
-    path.  ``vectorized=False`` is the default, so each pair differs in
-    the explicit knob only."""
-    from repro.core import RunConfig
-    from repro.tpch import ALL_QUERIES
-
-    pairs = [
-        (RunConfig(pipeline=False), RunConfig(pipeline=False, vectorized=False)),
-        (RunConfig(), RunConfig(vectorized=False)),
-    ]
-    for number in (3, 6):
-        sql = ALL_QUERIES[number].sql
-        for config in ("hons", "hos", "vcs", "scs", "sos"):
-            for default_cfg, off_cfg in pairs:
-                base = tiny_deployment.run_query(sql, config, run_config=default_cfg)
-                off = tiny_deployment.run_query(sql, config, run_config=off_cfg)
-                assert off.rows == base.rows, (number, config)
-                assert off.host_meter == base.host_meter, (number, config)
-                assert off.storage_meter == base.storage_meter, (number, config)
-                assert off.breakdown.total_ns == base.breakdown.total_ns, (number, config)
 
 
 def test_vectorized_rows_agree_across_configs(tiny_deployment):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.sql import ast_nodes as A
-from repro.sql import memory_database
+from repro.sql import ExecOptions, memory_database
 from repro.sql.expressions import Scope
 from repro.sql.operators import ExecContext, RowsSource
 from repro.sql.records import decode_batch
@@ -29,6 +29,8 @@ from repro.sql.vector import (
 )
 from repro.sql.vexec import RowsToMorsels, VecExprCompiler
 from repro.telemetry import SPAN_VECTOR_EVAL, RecordingTracer
+
+VECTORIZED = ExecOptions(vectorized=True)
 
 ROWS = [
     (1, 0, None, "alpha"),
@@ -190,15 +192,15 @@ class TestEngineParity:
     @pytest.mark.parametrize("sql", PARITY_QUERIES)
     def test_vectorized_matches_row_path(self, sql):
         row_db, vec_db = _database(), _database()
-        vec_db.set_vectorized(True)
-        assert sorted(vec_db.execute(sql).rows) == sorted(row_db.execute(sql).rows)
+        assert sorted(vec_db.execute(sql, options=VECTORIZED).rows) == sorted(
+            row_db.execute(sql).rows
+        )
 
     def test_metering_is_split_by_execution_model(self):
         db = _database()
-        db.set_vectorized(True)
         before_scanned = db.meter.rows_scanned
         before_batches = db.meter.get("vector_batches")
-        db.execute("SELECT id FROM t WHERE grp = 1")
+        db.execute("SELECT id FROM t WHERE grp = 1", options=VECTORIZED)
         # Vectorized operators meter batches/values, never the row-path
         # counters — that split is what the cost model prices.
         assert db.meter.rows_scanned == before_scanned
@@ -206,17 +208,18 @@ class TestEngineParity:
         assert db.meter.get("vector_values") > 0
 
     def test_escape_hatch_restores_row_metering(self):
+        # Options travel with the call: a vectorized statement leaves
+        # nothing behind for the next, default one.
         db = _database()
-        db.set_vectorized(True)
-        db.set_vectorized(False)
+        db.execute("SELECT id FROM t WHERE grp = 1", options=VECTORIZED)
+        batches = db.meter.get("vector_batches")
         db.execute("SELECT id FROM t WHERE grp = 1")
         assert db.meter.rows_scanned == len(ROWS)
-        assert db.meter.get("vector_batches") == 0
+        assert db.meter.get("vector_batches") == batches
 
     def test_selection_density_accrues_on_filters(self):
         db = _database()
-        db.set_vectorized(True)
-        db.execute("SELECT id FROM t WHERE grp = 1")  # 2 of 4 rows pass
+        db.execute("SELECT id FROM t WHERE grp = 1", options=VECTORIZED)  # 2 of 4 rows pass
         assert db.meter.get("selection_density_pct") == 50.0
 
 
@@ -264,11 +267,10 @@ class TestBatchStash:
 class TestVectorTelemetry:
     def test_vector_eval_events_per_operator_batch(self):
         db = _database()
-        db.set_vectorized(True)
         tracer = RecordingTracer()
         db.tracer = tracer
         with tracer.span("query"):
-            db.execute("SELECT id, val FROM t WHERE grp = 1")
+            db.execute("SELECT id, val FROM t WHERE grp = 1", options=VECTORIZED)
         events = [
             span
             for trace in tracer.traces

@@ -11,7 +11,7 @@ from repro.core import Deployment, RunConfig, register_client
 from repro.crypto import Rng
 from repro.errors import ExecutionError, FreshnessError, IntegrityError
 from repro.sql.catalog import TableSchema
-from repro.sql.engine import Database
+from repro.sql.engine import Database, ExecOptions
 from repro.sql.stores import ZONEMAP_META_KEY, PagedStore
 from repro.stats import (
     STATS_COUNTERS,
@@ -22,6 +22,8 @@ from repro.stats import (
     serialize_zone_maps,
 )
 from repro.storage import BlockDevice, InMemoryAnchor, Pager, SecurePager
+
+PRUNED = ExecOptions(zone_maps=True)
 
 
 class TestPageSynopsis:
@@ -278,33 +280,39 @@ class TestPlannerPruning:
             "INSERT INTO t VALUES "
             + ", ".join(f"({i}, 'r{i:06d}')" for i in range(1200))
         )
-        db.set_zone_maps(True)
         return db, store
 
     def test_selective_filter_skips_pages(self):
         db, store = self._db()
-        rows = db.execute("SELECT count(*) FROM t WHERE a < 10").rows
+        rows = db.execute("SELECT count(*) FROM t WHERE a < 10", options=PRUNED).rows
         assert rows == [(10,)]
         assert store.meter.extra["pages_skipped"] > 0
 
     def test_rows_identical_with_and_without_pruning(self):
         db, store = self._db()
         sql = "SELECT a, b FROM t WHERE a BETWEEN 100 AND 140 ORDER BY a"
-        pruned = db.execute(sql).rows
-        db.set_zone_maps(False)
+        pruned = db.execute(sql, options=PRUNED).rows
+        assert store.meter.extra["pages_skipped"] > 0
+        skipped = store.meter.extra["pages_skipped"]
+        # Options travel with the call: the next, default one reads it all.
         assert db.execute(sql).rows == pruned
+        assert store.meter.extra["pages_skipped"] == skipped
 
     def test_non_sargable_filter_scans_everything(self):
         db, store = self._db()
-        db.execute("SELECT count(*) FROM t WHERE a + 0 < 10")
+        db.execute("SELECT count(*) FROM t WHERE a + 0 < 10", options=PRUNED)
         assert store.meter.extra.get("pages_skipped", 0) == 0
 
     def test_in_and_isnull_prune(self):
         db, store = self._db()
-        assert db.execute("SELECT count(*) FROM t WHERE a IN (3, 5)").rows == [(2,)]
+        assert db.execute(
+            "SELECT count(*) FROM t WHERE a IN (3, 5)", options=PRUNED
+        ).rows == [(2,)]
         assert store.meter.extra["pages_skipped"] > 0
         skipped = store.meter.extra["pages_skipped"]
-        assert db.execute("SELECT count(*) FROM t WHERE a IS NULL").rows == [(0,)]
+        assert db.execute(
+            "SELECT count(*) FROM t WHERE a IS NULL", options=PRUNED
+        ).rows == [(0,)]
         assert store.meter.extra["pages_skipped"] > skipped  # no NULLs anywhere
 
     def test_type_mismatch_still_raises_row_level_error(self):
@@ -312,17 +320,17 @@ class TestPlannerPruning:
         # row filter, which must raise exactly as it does unpruned.
         db, store = self._db()
         with pytest.raises(ExecutionError):
-            db.execute("SELECT count(*) FROM t WHERE a < 'text'")
-        db.set_zone_maps(False)
+            db.execute("SELECT count(*) FROM t WHERE a < 'text'", options=PRUNED)
         with pytest.raises(ExecutionError):
             db.execute("SELECT count(*) FROM t WHERE a < 'text'")
 
     def test_memory_store_ignores_the_knob(self):
         db = Database()
         db.execute("CREATE TABLE m (x INTEGER)")
-        db.set_zone_maps(True)  # must be a harmless no-op
         db.execute("INSERT INTO m VALUES (1), (2)")
-        assert db.execute("SELECT count(*) FROM m WHERE x < 2").rows == [(1,)]
+        # No synopses to consult: must be a harmless no-op.
+        sql = "SELECT count(*) FROM m WHERE x < 2"
+        assert db.execute(sql, options=PRUNED).rows == [(1,)]
 
 
 class TestPruningProperty:
@@ -379,13 +387,11 @@ class TestPruningProperty:
         for _ in range(40):
             where = " AND ".join(predicate() for _ in range(rnd.randint(1, 2)))
             sql = f"SELECT i, r, s, d FROM p WHERE {where}"
-            db.set_zone_maps(True)
             try:
-                pruned = db.execute(sql).rows
+                pruned = db.execute(sql, options=PRUNED).rows
                 pruned_err = None
             except ExecutionError as exc:
                 pruned, pruned_err = None, str(exc)
-            db.set_zone_maps(False)
             try:
                 full = db.execute(sql).rows
                 full_err = None

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core import Deployment, RunConfig, SERIAL_RUN_CONFIG
+from repro.core import RunConfig, SERIAL_RUN_CONFIG
 from repro.errors import IronSafeError, StorageError, StreamError
 from repro.sql.records import (
     MAX_BATCH_ROWS,
@@ -305,23 +305,6 @@ class TestPipelinedDeployment:
         # Compression trades simulated CPU for bytes moved: the crypto +
         # compression category grows even as wire bytes shrink.
         assert plain.channel_bytes_saved == 0
-
-    def test_serial_escape_hatch_is_byte_identical(self):
-        """pipeline=False must match a default deployment exactly:
-        rows, every meter counter, and simulated nanoseconds."""
-        import dataclasses
-
-        a = Deployment(scale_factor=0.001, seed=11)
-        b = Deployment(scale_factor=0.001, seed=11, run_config=SERIAL_RUN_CONFIG)
-        ra = a.run_query(SQL, "scs")
-        rb = b.run_query(SQL, "scs", run_config=RunConfig(pipeline=False))
-        assert ra.rows == rb.rows
-        assert ra.breakdown.total_ns == rb.breakdown.total_ns
-        assert ra.breakdown.by_category == rb.breakdown.by_category
-        for attr in ("storage_meter", "host_meter"):
-            ma, mb = getattr(ra, attr), getattr(rb, attr)
-            for f in dataclasses.fields(ma):
-                assert getattr(ma, f.name) == getattr(mb, f.name), f.name
 
     def test_tamper_on_channel_detected_mid_stream(self, tiny_deployment):
         """Flipping a bit in a shipped batch record trips the channel MAC."""
