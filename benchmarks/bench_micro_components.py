@@ -8,10 +8,19 @@ counterpart; they document the reproduction's own performance envelope.
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 
 from repro.crypto import AES, Rng, hash_ctr_crypt, hmac_sha512
 from repro.sql import memory_database
+from repro.sql.records import (
+    decode_batch,
+    encode_batch,
+    encode_row,
+    pack_page,
+    unpack_page,
+)
 from repro.storage import BlockDevice, InMemoryAnchor, MerkleTree, SecurePager
 
 _RNG = Rng(99)
@@ -55,6 +64,44 @@ def test_micro_secure_page_roundtrip(benchmark):
 
     result = benchmark(pager.read_page, pgno)
     assert result == _PAGE[:1000]
+
+
+def _lineitem_row(i: int) -> tuple:
+    """A row of lineitem's shape: 4 INT, 4 REAL, 2 TEXT, 3 DATE, 3 TEXT."""
+    day = datetime.date(1995, 1, 1) + datetime.timedelta(days=i % 900)
+    return (
+        i, i % 400, i % 20, i % 7, float(i % 50), 901.5 + i, 0.04, 0.02,
+        "NRA"[i % 3], "OF"[i % 2], day, day, day,
+        "DELIVER IN PERSON", "TRUCK", f"carefully final deposits {i} détail",
+    )
+
+
+#: 24 lineitem-shaped rows fit one 4 KiB page payload.
+_CODEC_ROWS = [_lineitem_row(i) for i in range(24)]
+#: The same page with one row that does not fit the page's compiled plan.
+_CODEC_ROWS_ONE_NULL = (
+    _CODEC_ROWS[:12] + [(None,) + _CODEC_ROWS[12][1:]] + _CODEC_ROWS[13:]
+)
+_BATCH_ROWS = [_lineitem_row(i) for i in range(1024)]
+
+
+@pytest.mark.parametrize(
+    "rows", [_CODEC_ROWS, _CODEC_ROWS_ONE_NULL], ids=["uniform", "one-null-row"]
+)
+def test_micro_unpack_page(benchmark, rows):
+    payload = pack_page([encode_row(row) for row in rows])
+    assert len(payload) <= 3996
+    assert benchmark(unpack_page, payload) == rows
+
+
+def test_micro_encode_batch(benchmark):
+    payload = benchmark(encode_batch, _BATCH_ROWS)
+    assert decode_batch(payload) == _BATCH_ROWS
+
+
+def test_micro_decode_batch(benchmark):
+    payload = encode_batch(_BATCH_ROWS)
+    assert benchmark(decode_batch, payload) == _BATCH_ROWS
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ from ..stats import (
 )
 from .catalog import Catalog, TableSchema
 from .records import encode_row, pack_page, unpack_page
-from .values import coerce, estimate_row_bytes
+from .values import COERCED_TYPES, coerce, estimate_rows_bytes
 from .vector import Morsel, morsels_from_rows
 
 CATALOG_META_KEY = "sql_catalog"
@@ -35,6 +35,8 @@ CATALOG_META_KEY = "sql_catalog"
 #: digest folded into the RPMB-anchored root), so a malicious host cannot
 #: forge "nothing here, skip me" synopses.
 ZONEMAP_META_KEY = "zone_maps"
+
+_NONE_TYPE = type(None)
 
 
 class TableStore:
@@ -64,7 +66,25 @@ class TableStore:
     # -- shared helpers ----------------------------------------------------
 
     def _coerce_rows(self, schema: TableSchema, rows: list[tuple]) -> list[tuple]:
+        """Rows coerced to the declared column types.
+
+        Returns *rows* itself (not a copy) when there is nothing to do:
+        every row a *width*-tuple and every column holding only its exact
+        declared type or NULL — always true of rows that came out of
+        ``decode_batch`` / ``unpack_page``.
+        """
         width = len(schema.columns)
+        if (
+            type(rows) is list
+            and rows
+            and set(map(type, rows)) == {tuple}
+            and set(map(len, rows)) == {width}
+            and all(
+                set(map(type, column)) <= {COERCED_TYPES.get(type_name), _NONE_TYPE}
+                for column, (_, type_name) in zip(zip(*rows), schema.columns)
+            )
+        ):
+            return rows
         coerced = []
         for row in rows:
             if len(row) != width:
@@ -110,7 +130,7 @@ class MemoryStore(TableStore):
         coerced = self._coerce_rows(schema, rows)
         self._rows[name].extend(coerced)
         schema.row_count += len(coerced)
-        self._bytes[name] += sum(estimate_row_bytes(r) for r in coerced)
+        self._bytes[name] += estimate_rows_bytes(coerced)
         self.meter.note_memory(sum(self._bytes.values()))
         return len(coerced)
 
@@ -148,9 +168,9 @@ class MemoryStore(TableStore):
     def replace_rows(self, name: str, rows: list[tuple]) -> None:
         schema = self.catalog.table(name)
         coerced = self._coerce_rows(schema, rows)
-        self._rows[name] = coerced
+        self._rows[name] = list(coerced)  # _coerce_rows may return *rows* itself
         schema.row_count = len(coerced)
-        self._bytes[name] = sum(estimate_row_bytes(r) for r in coerced)
+        self._bytes[name] = estimate_rows_bytes(coerced)
         self._morsels.pop(name, None)
         self.meter.note_memory(sum(self._bytes.values()))
 

@@ -15,6 +15,9 @@ from functools import lru_cache
 from ..errors import ExecutionError
 
 TYPE_NAMES = ("INTEGER", "REAL", "TEXT", "DATE")
+#: Declared column type -> the exact value type :func:`coerce` produces; a
+#: value already of that type (or NULL) comes back from it unchanged.
+COERCED_TYPES = {"INTEGER": int, "REAL": float, "TEXT": str, "DATE": datetime.date}
 
 
 def coerce(value, type_name: str):
@@ -280,3 +283,24 @@ def estimate_value_bytes(value) -> int:
 
 def estimate_row_bytes(row: tuple) -> int:
     return 8 + sum(estimate_value_bytes(v) for v in row)
+
+
+def estimate_rows_bytes(rows: list[tuple]) -> int:
+    """``sum(estimate_row_bytes(r) for r in rows)`` for equal-width rows.
+
+    Summed column-wise: a column of one fixed-width type (or of TEXT)
+    costs no per-value Python call; any other column is summed per value.
+    """
+    count = len(rows)
+    total = 8 * count
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds <= {int, float, bool}:
+            total += 8 * count
+        elif kinds == {str}:
+            total += 2 * count + sum(map(len, column))
+        elif kinds == {datetime.date}:
+            total += 4 * count
+        else:
+            total += sum(map(estimate_value_bytes, column))
+    return total

@@ -137,7 +137,10 @@ class Morsel:
             if not rows:
                 raise ExecutionError("cannot infer morsel width from zero rows")
             width = len(rows[0])
-        columns = [ColumnVector([row[c] for row in rows]) for c in range(width)]
+        columns = [ColumnVector(list(column)) for column in zip(*rows)]
+        if len(columns) != width:
+            # Zero rows (zip yields no columns) or rows not *width* wide.
+            columns = [ColumnVector([row[c] for row in rows]) for c in range(width)]
         return cls(columns, len(rows))
 
     @classmethod

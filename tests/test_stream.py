@@ -101,13 +101,17 @@ class TestRecordBatchFormat:
             }[kind]()
 
         kinds = ["null", "int", "real", "text", "date"]
-        for _ in range(25):
+        for case in range(36):
             ncols = rng.randint(1, 8)
-            # Uniform columns sometimes, mixed columns sometimes.
-            column_kinds = [
-                kinds if rng.random() < 0.3 else [rng.choice(kinds[1:]), "null"]
-                for _ in range(ncols)
-            ]
+            if case % 3 == 0:
+                # NULL-free, one type per column: the compiled pack/unpack path.
+                column_kinds = [[rng.choice(kinds[1:])] for _ in range(ncols)]
+            else:
+                # Uniform columns sometimes, mixed columns sometimes.
+                column_kinds = [
+                    kinds if rng.random() < 0.3 else [rng.choice(kinds[1:]), "null"]
+                    for _ in range(ncols)
+                ]
             rows = [
                 tuple(value(rng.choice(column_kinds[c])) for c in range(ncols))
                 for _ in range(rng.randint(0, 50))
@@ -124,9 +128,32 @@ class TestRecordBatchFormat:
         ],
     )
     def test_corruption_detected(self, mutate):
-        payload = encode_batch([(1, "abc", 2.0), (2, "defg", 3.0)])
-        with pytest.raises(StorageError):
-            decode_batch(mutate(payload))
+        for rows in (
+            [(1, "abc", 2.0), (2, "defg", 3.0)],  # NULL-free uniform: compiled path
+            [(1, None, 2.0), ("x", "defg", None)],  # NULLs and a MIXED column
+        ):
+            payload = encode_batch(rows)
+            assert decode_batch(payload) == rows
+            with pytest.raises(StorageError):
+                decode_batch(mutate(payload))
+
+    def test_encoded_bytes_are_pinned(self):
+        """The wire bytes of a fixed batch, as the pre-plan encoder wrote them."""
+        uniform = [
+            (1, 2.5, "ab", datetime.date(1995, 6, 17), True),
+            (-7, -0.0, "naïve", datetime.date(1, 1, 1), False),
+            (2**40, 1e300, "", datetime.date(9999, 12, 31), 3),
+        ]
+        assert encode_batch(uniform).hex() == (
+            "0003050102030401"
+            "000000000000000001400400000000000000026162000b1d8d0000000000000001"
+            "00fffffffffffffff9800000000000000000066e61c3af7665000000010000000000000000"
+            "0000000100000000007e37e43c8800759c00000037b9db0000000000000003"
+        )
+        null_mixed = [(1, None, "x"), (2.5, None, "y")]
+        assert encode_batch(null_mixed).hex() == (
+            "0002030500030201000000000000000100017802024004000000000000000179"
+        )
 
     def test_null_in_declared_column_via_bitmap_only(self):
         # A non-null cell in an all-NULL column cannot be expressed by a
