@@ -12,7 +12,9 @@ import datetime
 
 import pytest
 
-from repro.crypto import AES, Rng, hash_ctr_crypt, hmac_sha512
+from repro.core import channel_pair
+from repro.crypto import AES, Rng, generate_keypair, hash_ctr_crypt, hmac_sha512, sha256
+from repro.sim import CostModel, NetworkLink, SimClock
 from repro.sql import memory_database
 from repro.sql.records import (
     decode_batch,
@@ -56,14 +58,47 @@ def test_micro_merkle_update(benchmark):
     benchmark(update)
 
 
+def test_micro_merkle_verify_leaf(benchmark):
+    tree = MerkleTree(_KEY, 4096)
+    digest = _RNG.bytes(32)
+    root = tree.update_leaf(1234, digest)
+
+    benchmark(tree.verify_leaf, 1234, digest, root)
+
+
 def test_micro_secure_page_roundtrip(benchmark):
+    """The read the workloads pay: device read + page MAC + a 10-level
+    Merkle walk (1024 pages, as at SF 0.002) + decrypt of a full payload."""
     device = BlockDevice()
     pager = SecurePager(device, _KEY, InMemoryAnchor(), Rng(5))
-    pgno = pager.allocate_page()
-    pager.write_page(pgno, _PAGE[:1000])
+    for _ in range(1024):
+        pager.write_page(pager.allocate_page(), _PAGE)
+    assert pager.tree.depth == 10
 
-    result = benchmark(pager.read_page, pgno)
-    assert result == _PAGE[:1000]
+    result = benchmark(pager.read_page, 517)
+    assert result == _PAGE
+
+
+def test_micro_channel_frame(benchmark):
+    """One 64 KiB record: encrypt + MAC + link, then verify + decrypt."""
+    link = NetworkLink(SimClock(), CostModel())
+    link.register("host")
+    link.register("storage")
+    host, storage = channel_pair(link, "host", "storage", _KEY)
+    frame = _RNG.bytes(64 * 1024)
+
+    def ship():
+        storage.send(frame)
+        return host.receive()
+
+    assert benchmark(ship) == frame
+
+
+def test_micro_rsa_sign(benchmark):
+    key = generate_keypair(Rng(7))
+    body = sha256(b"proof body")
+    signature = benchmark(key.sign, body)
+    assert key.public_key.verify(body, signature)
 
 
 def _lineitem_row(i: int) -> tuple:

@@ -13,9 +13,9 @@ Catalog semantics:
   ``trusted_os.invoke("secure-storage", "get_master_key")``).
 * **ValueSanitizer** — the call's return value is the union of its
   argument taints *minus* ``clears``.  Encryption (``hash_ctr_crypt``,
-  ``cbc_encrypt``, ``seal``) and one-way functions (``sha256``, ``sign``)
-  launder what they consume: ciphertext and digests are safe to ship and
-  log.
+  ``cbc_encrypt``, ``seal``) and one-way functions (``sha256``, ``sign``,
+  ``KeyedHmac.mac``) launder what they consume: ciphertext and digests
+  are safe to ship and log.
 * **GuardSanitizer** — a verification call: reaching it means the current
   path has authenticated its inputs, so ``clears`` is removed from every
   live value in the function (flow-sensitively — a decode *before* the
@@ -94,6 +94,8 @@ SOURCES: tuple[Source, ...] = (
     Source("derive_key", _KEY, "derive_key()"),
     Source("sealing_key_for", _KEY, "sealing_key_for()"),
     Source("generate_keypair", _KEY, "generate_keypair()"),
+    # A pre-keyed MAC object holds the two keyed hash states: it is the key.
+    Source("KeyedHmac", _KEY, "KeyedHmac()"),
     Source("get_master_key", _KEY, "get_master_key()"),
     Source("invoke", _KEY, 'invoke(.., "get_master_key")', when_arg="get_master_key"),
     # -- untrusted storage bytes ---------------------------------------
@@ -123,6 +125,11 @@ ATTRIBUTE_SOURCES: dict[str, tuple[frozenset, str]] = {
     "_enc_key": (_KEY, "._enc_key"),
     "_mac_key": (_KEY, "._mac_key"),
     "_merkle_key": (_KEY, "._merkle_key"),
+    "_send_key": (_KEY, "._send_key"),
+    "_recv_key": (_KEY, "._recv_key"),
+    "_hmac": (_KEY, "._hmac (pre-keyed MAC)"),
+    "_send_hmac": (_KEY, "._send_hmac (pre-keyed MAC)"),
+    "_recv_hmac": (_KEY, "._recv_hmac (pre-keyed MAC)"),
     "_root_key": (_KEY, "._root_key"),
     "_huk": (_KEY, "._huk (hardware-unique key)"),
     "_task": (_KEY, "._task (TA storage key)"),
@@ -131,7 +138,7 @@ ATTRIBUTE_SOURCES: dict[str, tuple[frozenset, str]] = {
 
 VALUE_SANITIZERS: tuple[ValueSanitizer, ...] = (
     # Encryption: ciphertext is safe to ship, store and (size-wise) meter.
-    ValueSanitizer("hash_ctr_crypt", _ALL, "hash-CTR encrypt/decrypt"),
+    ValueSanitizer("hash_ctr_crypt", _ALL, "stream-cipher encrypt/decrypt"),
     ValueSanitizer("cbc_encrypt", _ALL, "AES-CBC encrypt"),
     ValueSanitizer("cbc_decrypt", _ALL, "AES-CBC decrypt"),
     ValueSanitizer("seal", _ALL, "enclave sealing"),
@@ -140,6 +147,8 @@ VALUE_SANITIZERS: tuple[ValueSanitizer, ...] = (
     ValueSanitizer("sha512", _ALL, "SHA-512"),
     ValueSanitizer("hmac_sha256", _ALL, "HMAC-SHA256"),
     ValueSanitizer("hmac_sha512", _ALL, "HMAC-SHA512"),
+    # KeyedHmac.mac(): the tag is declassified, the receiver is not.
+    ValueSanitizer("mac", _ALL, "pre-keyed HMAC tag"),
     ValueSanitizer("sign", _ALL, "signature"),
     ValueSanitizer("fingerprint", _ALL, "public-key fingerprint"),
     # Row → wire encoders produce opaque framing the ship path may handle.

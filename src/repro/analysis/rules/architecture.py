@@ -261,6 +261,11 @@ TELEMETRY_FORBIDDEN_NAMES = frozenset(
         "_enc_key",
         "_mac_key",
         "_merkle_key",
+        "_send_key",
+        "_recv_key",
+        "_hmac",
+        "_send_hmac",
+        "_recv_hmac",
         "attestation_key",
     }
 )
@@ -504,6 +509,11 @@ SHARD_FORBIDDEN_NAMES = frozenset(
         "_enc_key",
         "_mac_key",
         "_merkle_key",
+        "_send_key",
+        "_recv_key",
+        "_hmac",
+        "_send_hmac",
+        "_recv_hmac",
         "attestation_key",
     }
 )

@@ -2,16 +2,22 @@
 
 TLS-equivalent construction over the simulated network: the session key
 (distributed by the trusted monitor after attesting both ends) derives
-separate encryption and MAC keys; every record carries a sequence number
-(replay protection) and an HMAC over (sequence ‖ ciphertext).  Payloads
-are really encrypted — a test reading link traffic sees ciphertext only.
+separate encryption and MAC keys *per direction*, bound to the two
+endpoint names; every record carries a sequence number (replay
+protection) and an HMAC over (sequence ‖ ciphertext).  Payloads are
+really encrypted — a test reading link traffic sees ciphertext only.
+
+Both ends count their records from sequence 0 and several storage nodes
+share one session key, so without the (sender → receiver) binding two
+records would share a keystream and a record reflected to its sender
+would verify as peer data.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..crypto import constant_time_eq, hash_ctr_crypt, hkdf, hmac_sha256
+from ..crypto import KeyedHmac, constant_time_eq, hash_ctr_crypt, hkdf
 from ..errors import ChannelError
 from ..sim import Meter, NetworkLink
 from ..telemetry import NOOP_TRACER, SPAN_CHANNEL_SEND, Tracer
@@ -20,8 +26,19 @@ _SEQ = struct.Struct(">Q")
 _MAC_LEN = 32
 
 
+def _direction_keys(
+    session_key: bytes, sender: str, receiver: str
+) -> tuple[bytes, KeyedHmac]:
+    """Cipher key and record MAC for records flowing *sender* → *receiver*."""
+    direction = f"{sender}->{receiver}".encode()
+    return (
+        hkdf(session_key, b"channel-enc:" + direction, 32),
+        KeyedHmac(hkdf(session_key, b"channel-mac:" + direction, 32), "sha256"),
+    )
+
+
 class SecureChannel:
-    """One directional pair of endpoints under one session key."""
+    """One endpoint of a channel: sends to, and receives from, *peer*."""
 
     def __init__(
         self,
@@ -35,8 +52,8 @@ class SecureChannel:
         self.link = link
         self.local = local
         self.peer = peer
-        self._enc_key = hkdf(session_key, b"channel-enc", 32)
-        self._mac_key = hkdf(session_key, b"channel-mac", 32)
+        self._send_key, self._send_hmac = _direction_keys(session_key, local, peer)
+        self._recv_key, self._recv_hmac = _direction_keys(session_key, peer, local)
         self.meter = meter if meter is not None else Meter()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._send_seq = 0
@@ -49,9 +66,9 @@ class SecureChannel:
         """Encrypt-then-MAC and put the record on the wire."""
         seq = self._send_seq
         self._send_seq += 1
-        ciphertext = hash_ctr_crypt(self._enc_key, self._nonce(seq), payload)
-        mac = hmac_sha256(self._mac_key, _SEQ.pack(seq) + ciphertext)
-        record = _SEQ.pack(seq) + mac + ciphertext
+        header = _SEQ.pack(seq)
+        ciphertext = hash_ctr_crypt(self._send_key, self._nonce(seq), payload)
+        record = header + self._send_hmac.mac(header + ciphertext) + ciphertext
         # Meter the *ciphertext* length, mirroring receive(): with the
         # stream cipher the lengths coincide, but once compression shrinks
         # the plaintext the two sides must still charge the same quantity
@@ -84,7 +101,7 @@ class SecureChannel:
             raise ChannelError(
                 f"sequence {seq} out of order (expected {self._recv_seq}): replay or drop"
             )
-        expected = hmac_sha256(self._mac_key, _SEQ.pack(seq) + ciphertext)
+        expected = self._recv_hmac.mac(_SEQ.pack(seq) + ciphertext)
         if not constant_time_eq(expected, mac):
             raise ChannelError("channel record MAC invalid: tampering detected")
         self._recv_seq += 1
@@ -94,7 +111,7 @@ class SecureChannel:
                 "channel", "recv", seq, len(record),
                 actor=f"{self.peer}->{self.local}",
             )
-        return hash_ctr_crypt(self._enc_key, self._nonce(seq), ciphertext)
+        return hash_ctr_crypt(self._recv_key, self._nonce(seq), ciphertext)
 
 
 def channel_pair(

@@ -8,6 +8,7 @@ the library has zero third-party dependencies.
 from .aes import AES, BLOCK_SIZE
 from .certs import Certificate, issue_certificate, self_signed, verify_chain
 from .hashes import (
+    KeyedHmac,
     constant_time_eq,
     hkdf,
     hmac_sha256,
@@ -24,6 +25,7 @@ __all__ = [
     "AES",
     "BLOCK_SIZE",
     "Certificate",
+    "KeyedHmac",
     "PrivateKey",
     "PublicKey",
     "Rng",

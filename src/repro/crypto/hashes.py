@@ -34,6 +34,42 @@ def hmac_sha512(key: bytes, data: bytes) -> bytes:
     return _hmac.new(key, data, hashlib.sha512).digest()
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+class KeyedHmac:
+    """HMAC under one fixed key, with the two key blocks hashed once.
+
+    ``hmac.new`` pads the key, XORs it into the ipad/opad blocks and
+    compresses both on every call; for the 72-byte Merkle node message
+    that is most of the work.  This keeps the two keyed hash states and
+    copies them per message, so :meth:`mac` is six C calls and returns
+    exactly ``hmac.new(key, data, hash_name).digest()`` (RFC 2104).
+    The object *is* key material: hold it where the key was held.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes, hash_name: str):
+        inner = hashlib.new(hash_name)
+        if len(key) > inner.block_size:
+            key = hashlib.new(hash_name, key).digest()
+        block = key.ljust(inner.block_size, b"\x00")
+        outer = inner.copy()
+        inner.update(block.translate(_IPAD))
+        outer.update(block.translate(_OPAD))
+        self._inner = inner
+        self._outer = outer
+
+    def mac(self, data: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(data)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
 def constant_time_eq(a: bytes, b: bytes) -> bool:
     """Timing-safe comparison for MAC verification."""
     return _hmac.compare_digest(a, b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ..crypto import constant_time_eq, hmac_sha256
+from ..crypto import KeyedHmac, constant_time_eq
 from ..errors import IntegrityError
 from ..sim import Meter
 
@@ -33,7 +33,7 @@ class MerkleTree:
     def __init__(self, key: bytes, num_leaves: int, meter: Meter | None = None):
         if num_leaves <= 0:
             raise IntegrityError("tree needs at least one leaf")
-        self._key = key
+        self._hmac = KeyedHmac(key, "sha256")
         self.meter = meter
         self.num_leaves = num_leaves
         self._capacity = 1 << max(1, math.ceil(math.log2(num_leaves)))
@@ -53,7 +53,7 @@ class MerkleTree:
         if self.meter is not None:
             self.meter.merkle_nodes_hashed += 1
         header = level.to_bytes(2, "big") + index.to_bytes(6, "big")
-        return hmac_sha256(self._key, header + left + right)
+        return self._hmac.mac(header + left + right)
 
     def _rebuild_all(self) -> None:
         for level in range(1, len(self._levels)):

@@ -27,13 +27,13 @@ from __future__ import annotations
 from typing import Callable
 
 from ..crypto import (
+    KeyedHmac,
     Rng,
     cbc_decrypt,
     cbc_encrypt,
     constant_time_eq,
     hash_ctr_crypt,
     hkdf,
-    hmac_sha512,
     sha256,
 )
 from ..errors import FreshnessError, IntegrityError, StorageError
@@ -157,7 +157,7 @@ class SecurePager:
         self.key_scheme = key_scheme
         self._rng = rng
         self._enc_key = hkdf(master_key, b"page-encryption", 32)
-        self._mac_key = hkdf(master_key, b"page-mac", 32)
+        self._hmac = KeyedHmac(hkdf(master_key, b"page-mac", 32), "sha512")
         self._merkle_key = hkdf(master_key, b"merkle-tree", 32)
         self._page_keys: dict[int, bytes] = {}
 
@@ -231,7 +231,7 @@ class SecurePager:
         return hash_ctr_crypt(key, iv, ciphertext)
 
     def _page_mac(self, pgno: int, iv: bytes, ciphertext: bytes) -> bytes:
-        return hmac_sha512(self._mac_key, pgno.to_bytes(8, "big") + iv + ciphertext)
+        return self._hmac.mac(pgno.to_bytes(8, "big") + iv + ciphertext)
 
     # -- authenticated application metadata ---------------------------------
 
@@ -241,9 +241,7 @@ class SecurePager:
     def _meta_mac(self, key: str, iv: bytes, ciphertext: bytes) -> bytes:
         # Domain-separated from page MACs: keyed by the metadata name, so a
         # blob cannot be displaced to another key or passed off as a page.
-        return hmac_sha512(
-            self._mac_key, b"meta:" + key.encode() + b"\x00" + iv + ciphertext
-        )
+        return self._hmac.mac(b"meta:" + key.encode() + b"\x00" + iv + ciphertext)
 
     def _meta_root(self) -> bytes | None:
         if not self._meta_digests:

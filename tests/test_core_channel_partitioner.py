@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import QueryPartitioner, channel_pair
+from repro.core import QueryPartitioner, SecureChannel, channel_pair
 from repro.core.manual_partitions import MANUAL_PARTITIONS
 from repro.crypto import Rng
 from repro.errors import ChannelError
@@ -91,6 +91,100 @@ class TestSecureChannel:
         host.receive()
         assert storage.meter.channel_bytes_encrypted == 1000
         assert host.meter.channel_bytes_encrypted == 1000
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _wire_ciphertext(link: NetworkLink, recipient: str) -> bytes:
+    """Ciphertext of the oldest undelivered record: seq(8) ‖ mac(32) ‖ ct."""
+    _, record = link._endpoints[recipient].inbox[0]
+    return record[40:]
+
+
+class TestChannelKeySeparation:
+    """Both ends of a pair start at sequence 0 and every storage node of a
+    sharded run shares one session key, so the keys must be bound to the
+    (sender → receiver) direction or records share a keystream."""
+
+    P1 = b"host asks: SELECT * FROM lineitem WHERE l_quantity < 24"
+    P2 = b"storage answers with the filtered records of this shard"
+
+    def test_two_directions_do_not_share_a_keystream(self, channel_rig):
+        link, host, storage = channel_rig
+        host.send(self.P1)
+        storage.send(self.P2)
+        c1 = _wire_ciphertext(link, "storage")
+        c2 = _wire_ciphertext(link, "host")
+        # A two-time pad would cancel the keystream: c1 ^ c2 == p1 ^ p2.
+        assert _xor(c1, c2) != _xor(self.P1, self.P2)
+        assert storage.receive() == self.P1
+        assert host.receive() == self.P2
+
+    def test_two_nodes_under_one_session_key_do_not_share_a_keystream(self):
+        link = NetworkLink(SimClock(), CostModel())
+        for name in ("host", "storage-1", "storage-2"):
+            link.register(name)
+        key = Rng("one-session").bytes(32)
+        host1, node1 = channel_pair(link, "host", "storage-1", key)
+        host2, node2 = channel_pair(link, "host", "storage-2", key)
+        node1.send(self.P1)
+        c1 = _wire_ciphertext(link, "host")
+        assert host1.receive() == self.P1
+        node2.send(self.P2)
+        c2 = _wire_ciphertext(link, "host")
+        assert host2.receive() == self.P2
+        assert _xor(c1, c2) != _xor(self.P1, self.P2)
+
+    def test_record_for_another_node_is_rejected(self):
+        link = NetworkLink(SimClock(), CostModel())
+        for name in ("host", "storage-1", "storage-2"):
+            link.register(name)
+        key = Rng("one-session").bytes(32)
+        _, node1 = channel_pair(link, "host", "storage-1", key)
+        host2, _ = channel_pair(link, "host", "storage-2", key)
+        node1.send(self.P1)
+        _, record = link._endpoints["host"].inbox.popleft()
+        # Re-addressed as if storage-2 had sent it at the same sequence.
+        link._endpoints["host"].inbox.append(("storage-2", record))
+        with pytest.raises(ChannelError, match="MAC"):
+            host2.receive()
+
+    def test_reflected_record_is_rejected(self, channel_rig):
+        link, host, storage = channel_rig
+        host.send(self.P1)
+        _, record = link._endpoints["storage"].inbox.popleft()
+        # The adversary bounces host's own record back as if from storage.
+        link._endpoints["host"].inbox.append(("storage", record))
+        with pytest.raises(ChannelError, match="MAC"):
+            host.receive()
+
+    def test_sharded_run_first_frames_do_not_share_a_keystream(self, monkeypatch):
+        from repro.shard import ShardedDeployment
+
+        deployment = ShardedDeployment(shards=2, scale_factor=0.001, seed=11)
+        deployment.attest_all()
+        keystreams: dict[str, bytes] = {}
+        real_send = SecureChannel.send
+
+        def recording_send(channel, payload, charge_time=True):
+            first = channel._send_seq == 0 and channel.peer == "host"
+            real_send(channel, payload, charge_time)
+            if first and payload:
+                _, record = channel.link._endpoints["host"].inbox[-1]
+                keystreams[channel.local] = _xor(payload, record[40:])
+
+        monkeypatch.setattr(SecureChannel, "send", recording_send)
+        result = deployment.run_query(
+            "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity < 24", "scs"
+        )
+        assert result.rows
+        assert len(keystreams) == 2
+        first, second = keystreams.values()
+        shared = min(len(first), len(second))
+        assert shared >= 32
+        assert first[:shared] != second[:shared]
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,15 @@
-"""Hashes, HKDF, the deterministic RNG and the hash-CTR stream cipher."""
+"""Hashes, pre-keyed HMAC, HKDF, the deterministic RNG and the XOF stream cipher."""
 
 from __future__ import annotations
+
+import hashlib
+import hmac
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
+    KeyedHmac,
     Rng,
     constant_time_eq,
     hash_ctr_crypt,
@@ -15,6 +19,7 @@ from repro.crypto import (
     sha256,
     sha512,
 )
+from repro.errors import CryptoError
 
 
 class TestHashes:
@@ -40,6 +45,32 @@ class TestHashes:
     def test_constant_time_eq(self):
         assert constant_time_eq(b"same", b"same")
         assert not constant_time_eq(b"same", b"diff")
+
+
+class TestKeyedHmac:
+    """The pre-keyed helper must be bit-identical to ``hmac.new``: Merkle
+    roots, page MACs and RPMB-anchored roots are its outputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.binary(max_size=200),  # 0 bytes .. beyond both block sizes
+        msg=st.binary(max_size=5000),
+        name=st.sampled_from(["sha256", "sha512"]),
+    )
+    def test_equals_stdlib_hmac(self, key, msg, name):
+        assert KeyedHmac(key, name).mac(msg) == hmac.new(key, msg, name).digest()
+
+    @pytest.mark.parametrize("key_len", [0, 63, 64, 65, 127, 128, 129, 200])
+    def test_block_size_boundaries(self, key_len):
+        key = bytes(i % 251 for i in range(key_len))
+        for name in ("sha256", "sha512"):
+            assert KeyedHmac(key, name).mac(b"m") == hmac.new(key, b"m", name).digest()
+
+    def test_reusable_and_order_independent(self):
+        mac = KeyedHmac(b"key", "sha256")
+        first = mac.mac(b"one")
+        mac.mac(b"two")
+        assert mac.mac(b"one") == first == hmac_sha256(b"key", b"one")
 
 
 class TestHKDF:
@@ -148,7 +179,33 @@ class TestHashCtr:
         assert len(set(blocks)) == 4
 
     @settings(max_examples=30, deadline=None)
-    @given(data=st.binary(max_size=500), key=st.binary(min_size=16, max_size=32))
+    @given(data=st.binary(max_size=500), key=st.binary(min_size=32, max_size=32))
     def test_roundtrip_property(self, data, key):
         nonce = bytes(16)
         assert hash_ctr_crypt(key, nonce, hash_ctr_crypt(key, nonce, data)) == data
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4014, 1 << 20])
+    def test_keystream_is_one_shake256_call(self, length):
+        # Known answer: encrypting zeros exposes the keystream, which is
+        # the SHAKE-256 XOF over key ‖ nonce and nothing else.
+        key, nonce = bytes(range(32)), bytes(range(100, 116))
+        assert hash_ctr_crypt(key, nonce, bytes(length)) == hashlib.shake_256(
+            key + nonce
+        ).digest(length)
+
+    def test_shorter_keystream_is_prefix_of_longer(self):
+        key, nonce = b"k" * 32, b"n" * 16
+        long = hash_ctr_crypt(key, nonce, bytes(4014))
+        for length in (1, 31, 32, 33, 1000):
+            assert hash_ctr_crypt(key, nonce, bytes(length)) == long[:length]
+
+    @pytest.mark.parametrize(
+        "key_len, nonce_len", [(31, 16), (33, 16), (16, 16), (32, 15), (32, 17)]
+    )
+    def test_wrong_length_key_or_nonce_rejected(self, key_len, nonce_len):
+        # key ‖ nonce is only unambiguous at fixed lengths: (k‖x, n) and
+        # (k, x‖n) would otherwise share a keystream.
+        with pytest.raises(CryptoError):
+            hash_ctr_crypt(bytes(key_len), bytes(nonce_len), b"data")
+        with pytest.raises(CryptoError):
+            hash_ctr_crypt(bytes(key_len), bytes(nonce_len), b"")

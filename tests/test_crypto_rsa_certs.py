@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import (
+    PrivateKey,
     Rng,
     generate_keypair,
     issue_certificate,
@@ -12,6 +13,7 @@ from repro.crypto import (
     verify_chain,
     verify_or_raise,
 )
+from repro.crypto.rsa import _encode_digest
 from repro.errors import CertificateError, CryptoError, SignatureError
 
 _RNG = Rng("rsa-tests")
@@ -68,6 +70,30 @@ class TestRSA:
         a = generate_keypair(Rng("a"))
         b = generate_keypair(Rng("b"))
         assert a.n != b.n
+
+    @pytest.mark.parametrize("seed", ["crt-1", "crt-2", "crt-3"])
+    def test_crt_signature_equals_plain_exponentiation(self, seed):
+        # pow(m, d, n) is the reference the CRT path must reproduce byte
+        # for byte: certificates and proofs signed before stay valid.
+        key = generate_keypair(Rng(seed), bits=512 if seed == "crt-3" else 1024)
+        assert key.p * key.q == key.n
+        size = (key.n.bit_length() + 7) // 8
+        for message in (b"", b"m", b"proof body " * 40, bytes(range(256))):
+            m = int.from_bytes(_encode_digest(message, key.n), "big")
+            sig = key.sign(message)
+            assert sig == pow(m, key.d, key.n).to_bytes(size, "big")
+            assert key.public_key.verify(message, sig)
+
+    def test_inconsistent_key_parts_never_emit_a_signature(self):
+        # A half computed modulo the wrong prime is exactly the fault the
+        # Bellcore attack needs: gcd(sig**e - m, n) would reveal q.
+        for broken in (
+            PrivateKey(n=KEY.n, e=KEY.e, d=KEY.d, p=OTHER.p, q=KEY.q),
+            PrivateKey(n=KEY.n, e=KEY.e, d=KEY.d, p=KEY.p, q=OTHER.q),
+            PrivateKey(n=KEY.n, e=KEY.e, d=KEY.d + 2, p=KEY.p, q=KEY.q),
+        ):
+            with pytest.raises(CryptoError, match="self-check"):
+                broken.sign(b"message")
 
 
 class TestCertificates:

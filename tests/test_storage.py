@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +148,16 @@ class TestMerkleTree:
     def test_zero_leaves_rejected(self):
         with pytest.raises(IntegrityError):
             MerkleTree(b"k", 0)
+
+    def test_root_is_pinned(self):
+        # Taken from the commit before node HMACs were pre-keyed: roots are
+        # anchored in RPMB, so how the HMAC is computed may never move them.
+        tree = MerkleTree(bytes(range(32)), 5)
+        for i in range(5):
+            tree.update_leaf(i, hashlib.sha256(b"leaf-%d" % i).digest())
+        assert tree.root.hex() == (
+            "1ce5232daf741906c163ab30d8af4193ededf5a42ec5dcad829be60399428583"
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(updates=st.lists(st.tuples(st.integers(0, 63), st.binary(min_size=32, max_size=32)), max_size=20))
@@ -324,6 +336,21 @@ class TestSecurePager:
         assert pager.meter.pages_decrypted == 1
         assert pager.meter.page_macs_verified == 1
         assert pager.meter.merkle_nodes_hashed > before
+
+    def test_page_and_meta_macs_are_pinned(self):
+        # Same provenance as TestMerkleTree.test_root_is_pinned: stored
+        # pages carry these MACs, so they must verify across commits.
+        pager = SecurePager(
+            BlockDevice(), bytes(range(32, 64)), InMemoryAnchor(), Rng("pin")
+        )
+        assert pager._page_mac(7, bytes(range(16)), bytes(range(256)) * 15).hex() == (
+            "d0272d51f2b3be462ca28d79f99b1a006eb71b99a20f5dba5a5fa72b2052ba36"
+            "60c518bf9f568001e5e20fc7f55853645475f48025cf697f190d28596559358b"
+        )
+        assert pager._meta_mac("zonemap", bytes(range(16)), b"blob" * 10).hex() == (
+            "dea70d0ab1f600bbacb2c59aaed3b3aff4b9ab1ab011a0d042b536dece996c37"
+            "896b8802d0ec08d00b3cbed0a4e3787251b8fec51acdd3dcdf9dfe59c5488532"
+        )
 
     def test_commit_idempotent_when_clean(self):
         _, anchor, _, pager, _ = self._setup()
