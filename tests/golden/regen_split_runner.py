@@ -2,9 +2,10 @@
 
 ``split_runner.json`` was written by this script at the commit *before* the
 five vcs/scs paths were folded into one runner, so it is the old code's
-behaviour that ``tests/test_golden_runner.py`` holds the runner to.  Rerun it
-only for a change that is meant to move a pinned number, and say so in
-CHANGES.md:
+behaviour that ``tests/test_golden_runner.py`` holds the runner to; the
+``tpch/`` cases were added at the commit before ``RunConfig`` shrank to four
+fields, the same way.  Rerun it only for a change that is meant to move a
+pinned number, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen_split_runner.py
 """
@@ -50,6 +51,15 @@ SHAPES = {
     "q3_join": (ALL_QUERIES[3].sql, None),
     "q12_join": (ALL_QUERIES[12].sql, None),
     "q13_manual": (ALL_QUERIES[13].sql, MANUAL_PARTITIONS[13]),
+}
+
+#: The two points ``BENCHMARK.json``'s workloads run, for every TPC-H query
+#: the shapes above leave out (hand-partitioned where a partition exists).
+BENCHMARK_POINTS = {"paper": CONFIGS, "streaming_vectorized": ("vcs", "scs")}
+TPCH_SHAPES = {
+    f"q{number}": (query.sql, MANUAL_PARTITIONS.get(number))
+    for number, query in sorted(ALL_QUERIES.items())
+    if number not in (6, 1, 3, 12, 13)
 }
 
 
@@ -111,6 +121,18 @@ def single_node_cases():
                 )
 
 
+def tpch_cases():
+    """``Deployment``: the remaining TPC-H queries at the benchmark's points."""
+    deployment, recorder = _observed(Deployment(scale_factor=SF, seed=SEED))
+    for point, configs in BENCHMARK_POINTS.items():
+        for config in configs:
+            for shape, (sql, manual) in TPCH_SHAPES.items():
+                yield (
+                    f"tpch/{config}/{shape}/{point}",
+                    observe(deployment, recorder, sql, config, POINTS[point], manual),
+                )
+
+
 def sharded_cases():
     """``ShardedDeployment``: scs/vcs x serial/streaming x 2 and 4 shards,
     plus a layout that forces the co-partition fallback."""
@@ -152,7 +174,9 @@ def sharded_cases():
 
 
 def main() -> None:
-    golden = {**dict(single_node_cases()), **dict(sharded_cases())}
+    golden = {
+        **dict(single_node_cases()), **dict(tpch_cases()), **dict(sharded_cases()),
+    }
     # One case per line, so a moved number shows up as a one-line diff.
     lines = [
         f"{json.dumps(case)}: {json.dumps(golden[case], sort_keys=True)}"

@@ -19,6 +19,7 @@ from tests.golden.regen_split_runner import (
     GOLDEN_PATH,
     sharded_cases,
     single_node_cases,
+    tpch_cases,
 )
 
 NS_KEYS = ("ns", "storage_ns", "host_ns")
@@ -60,6 +61,10 @@ def _check(cases, golden: dict, prefix: str) -> None:
 
 def test_single_node_matches_pre_refactor_goldens(golden):
     _check(single_node_cases(), golden, "single/")
+
+
+def test_every_tpch_query_matches_goldens_at_the_benchmark_points(golden):
+    _check(tpch_cases(), golden, "tpch/")
 
 
 def test_sharded_matches_pre_refactor_goldens(golden):
