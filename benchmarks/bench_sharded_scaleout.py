@@ -10,8 +10,8 @@ Four arms over :class:`repro.shard.ShardedDeployment`:
   ``0.8 × N`` of the single-node rate at 8 shards — per-shard partials
   are embarrassingly parallel, so anything below that means the merge
   or session path grew a serial bottleneck.
-* **optimizer** — every evaluated TPC-H query runs under
-  ``RunConfig(strategy="auto")`` and under every manual configuration
+* **optimizer** — every evaluated TPC-H query runs through
+  ``ShardedDeployment.run_auto`` and under every manual configuration
   of its security class.  The cost-based plan must match or beat the
   best manual choice on *every* query, in both the secure (hos/scs/sos)
   and plain (hons/vcs) classes; ``optimizer_win_pct`` lands in the
@@ -47,7 +47,6 @@ MIN_EFFICIENCY = 0.8
 
 #: Serial ship path for apples-to-apples manual-vs-auto comparisons.
 SERIAL = RunConfig(pipeline=False)
-AUTO = RunConfig(pipeline=False, strategy="auto")
 
 #: Probe constants per leakage cell.
 PROBES = 8
@@ -105,7 +104,7 @@ def _scaling_arm():
 
 
 def _optimizer_arm(deployment):
-    """strategy="auto" vs every manual config, both security classes."""
+    """``run_auto`` vs every manual config, both security classes."""
     rows, wins, total = [], 0, 0
     for requested, manual_configs in (("scs", SECURE_CLASS), ("vcs", PLAIN_CLASS)):
         for number in EVALUATED_NUMBERS:
@@ -122,8 +121,8 @@ def _optimizer_arm(deployment):
                     ).total_ms
                 except PartitionError:
                     continue  # sos: not shard-decomposable
-            auto = deployment.run_query(
-                sql, requested, run_config=AUTO, manual_partition=manual_partition
+            auto = deployment.run_auto(
+                sql, requested, run_config=SERIAL, manual_partition=manual_partition
             )
             best_config = min(timings, key=timings.get)
             best_ms = timings[best_config]

@@ -80,17 +80,18 @@ def suite_by_number(tpch_suite):
     return {q.number: q for q in tpch_suite}
 
 
-def run_once(benchmark, fn):
+def run_once(benchmark, fn, payload=None):
     """Run an experiment exactly once under pytest-benchmark's timer.
 
-    The experiment's return value is kept, keyed by the calling benchmark
-    module, so the smoke job can dump one ``BENCH_<module>.json`` per
-    benchmark file.
+    The experiment's return value — or ``payload(value)``, for experiments
+    that return whole run results rather than numbers — is kept, keyed by
+    the calling benchmark module, so the smoke job can dump one
+    ``BENCH_<module>.json`` per benchmark file.
     """
     result = benchmark.pedantic(fn, rounds=1, iterations=1)
     caller = sys._getframe(1).f_globals.get("__name__", "")
     if caller.startswith("bench_"):
-        _BENCH_RESULTS[caller] = result
+        _BENCH_RESULTS[caller] = payload(result) if payload else result
     return result
 
 

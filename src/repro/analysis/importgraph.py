@@ -48,8 +48,10 @@ class ImportRecord:
 
     module: str  # resolved absolute dotted target, e.g. "repro.storage"
     names: tuple[str, ...]  # names bound by a from-import ("SecurePager",)
+    # Where the import statement sits, named as ``ast`` names it so a rule
+    # anchors a finding at a record exactly as at a node.
     lineno: int
-    col: int
+    col_offset: int
 
 
 @dataclass
@@ -74,14 +76,14 @@ class ImportGraph:
                     target = alias.name
                     if self._in_tree(target):
                         records.append(
-                            ImportRecord(target, (), node.lineno, node.col_offset + 1)
+                            ImportRecord(target, (), node.lineno, node.col_offset)
                         )
             elif isinstance(node, ast.ImportFrom):
                 target = self._resolve_from(package, node)
                 if target is not None and self._in_tree(target):
                     names = tuple(alias.name for alias in node.names)
                     records.append(
-                        ImportRecord(target, names, node.lineno, node.col_offset + 1)
+                        ImportRecord(target, names, node.lineno, node.col_offset)
                     )
         if module is not None:
             self._edges.setdefault(module, []).extend(records)

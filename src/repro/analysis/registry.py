@@ -46,14 +46,19 @@ class Rule:
 _REGISTRY: dict[str, Rule] = {}
 
 
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and index a rule by its ``rule_id``."""
-    rule = cls()
+def add_rule(rule: Rule) -> Rule:
+    """Index a rule instance by its ``rule_id``."""
     if not rule.rule_id:
-        raise ValueError(f"rule {cls.__name__} has no rule_id")
+        raise ValueError(f"rule {type(rule).__name__} has no rule_id")
     if rule.rule_id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule.rule_id}")
     _REGISTRY[rule.rule_id] = rule
+    return rule
+
+
+def register(cls: type[Rule]) -> type[Rule]:
+    """Class decorator: instantiate a rule class and index it."""
+    add_rule(cls())
     return cls
 
 

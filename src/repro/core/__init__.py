@@ -11,7 +11,6 @@ from .configs import (
     SCS,
     SERIAL_RUN_CONFIG,
     SOS,
-    STRATEGIES,
     RunConfig,
     SystemConfig,
     VCS,
@@ -59,7 +58,6 @@ __all__ = [
     "SCS",
     "SERIAL_RUN_CONFIG",
     "SOS",
-    "STRATEGIES",
     "SecureChannel",
     "StorageEngine",
     "StorageNode",

@@ -69,10 +69,8 @@ class SecureChannel:
         header = _SEQ.pack(seq)
         ciphertext = hash_ctr_crypt(self._send_key, self._nonce(seq), payload)
         record = header + self._send_hmac.mac(header + ciphertext) + ciphertext
-        # Meter the *ciphertext* length, mirroring receive(): with the
-        # stream cipher the lengths coincide, but once compression shrinks
-        # the plaintext the two sides must still charge the same quantity
-        # or ship accounting goes asymmetric.
+        # Meter the *ciphertext* length, mirroring receive(), so the two
+        # ends always charge the same quantity.
         self.meter.channel_bytes_encrypted += len(ciphertext)
         if self.tracer.enabled:
             self.tracer.event(

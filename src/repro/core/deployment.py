@@ -43,7 +43,14 @@ from ..sql import Database, PagedStore
 from ..sql import ast_nodes as A
 from ..sql.parser import parse
 from ..storage import BlockDevice, InMemoryAnchor, Pager, SecurePager
-from ..stream import BatchTiming, apportion_ns, pack_frame, pipelined_ns, unpack_frame
+from ..stream import (
+    DEFAULT_BATCH_BYTES,
+    BatchTiming,
+    apportion_ns,
+    pack_frame,
+    pipelined_ns,
+    unpack_frame,
+)
 from ..telemetry import (
     NODE_CLIENT,
     NODE_HOST,
@@ -131,11 +138,6 @@ class RunResult:
     def batches_shipped(self) -> int:
         """RecordBatches shipped over the channel (streaming runs only)."""
         return self.storage_meter.get("batches_shipped")
-
-    @property
-    def channel_bytes_saved(self) -> int:
-        """Wire bytes removed by per-batch compression (streaming runs)."""
-        return self.storage_meter.get("channel_bytes_saved")
 
 
 @dataclass
@@ -641,22 +643,9 @@ class Deployment:
         authorization=None,
         run_config: RunConfig | None = None,
     ) -> RunResult:
-        if config not in CONFIGS:
-            raise IronSafeError(f"unknown configuration {config!r} (know {sorted(CONFIGS)})")
-        statement = self.parse_select(sql)
-        cpus = storage_cpus if storage_cpus is not None else self.storage_cpus
-        memory = (
-            storage_memory_bytes
-            if storage_memory_bytes is not None
-            else self.storage_memory_bytes
+        statement, cpus, memory, run_config = self._query_inputs(
+            sql, config, storage_cpus, storage_memory_bytes, run_config
         )
-        run_config = run_config if run_config is not None else self.run_config
-        if run_config.strategy != "manual":
-            raise IronSafeError(
-                "strategy='auto' needs the cost-based offload optimizer of a "
-                "sharded deployment (repro.shard.ShardedDeployment); a plain "
-                "Deployment only runs the configuration named explicitly"
-            )
         # One observable trace per query window.  The attributes carry the
         # configuration only — never the SQL text: the predicate constant
         # is exactly the secret the leakage meter measures, so the
@@ -682,6 +671,22 @@ class Deployment:
             )
         self._absorb_run_metrics(result, config)
         return result
+
+    def _query_inputs(
+        self, sql: str, config: str, storage_cpus, storage_memory_bytes, run_config
+    ) -> tuple[A.Select, int, int, RunConfig]:
+        """Check *config*, parse *sql*, and fill what the caller left unset
+        from the deployment's own settings: (statement, cpus, memory, run config)."""
+        if config not in CONFIGS:
+            raise IronSafeError(f"unknown configuration {config!r} (know {sorted(CONFIGS)})")
+        return (
+            self.parse_select(sql),
+            storage_cpus if storage_cpus is not None else self.storage_cpus,
+            storage_memory_bytes
+            if storage_memory_bytes is not None
+            else self.storage_memory_bytes,
+            run_config if run_config is not None else self.run_config,
+        )
 
     @staticmethod
     def parse_select(sql: str) -> A.Select:
@@ -931,7 +936,7 @@ class Deployment:
         with self.tracer.span(
             SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure
         ) as exec_span:
-            result = db.execute_statement(statement, options=run_config.exec_options)
+            result = db.execute_statement(statement, options=run_config)
 
         if secure:
             self._charge_enclave_paging(meter, pager)
@@ -981,11 +986,7 @@ class Deployment:
 
     @staticmethod
     def _ship_schedule(
-        engine,
-        table_name: str,
-        *,
-        batch_bytes: int | None = None,
-        record_rows: int | None = None,
+        engine, table_name: str, *, record_rows: int | None = None
     ) -> ShipSchedule:
         """Fixed ship schedule for *table_name* from catalog stats only.
 
@@ -1001,8 +1002,7 @@ class Deployment:
         payload_bytes = len(schema.pages) * engine.pager.payload_size
         if record_rows is not None:
             return record_schedule(schema.row_count, payload_bytes, record_rows)
-        assert batch_bytes is not None
-        return batch_schedule(schema.row_count, payload_bytes, batch_bytes)
+        return batch_schedule(schema.row_count, payload_bytes, DEFAULT_BATCH_BYTES)
 
     def _admit(self, statement: A.Select, query_text: str, client_key: str | None = None):
         """The monitor's admission path for one scs request.
@@ -1060,7 +1060,6 @@ class Deployment:
         arbiter, and assemble the breakdown.  docs/performance.md says
         what each stage charges.
         """
-        options = run_config.exec_options
         pipelined = run_config.pipeline
         sharded = len(self.nodes) > 1
         shards = {"shards": len(self.nodes)} if sharded else {}
@@ -1091,7 +1090,7 @@ class Deployment:
 
             host_meter = self.host_engine.fresh_meter()
             ship_meters = [Meter() for _ in self.nodes]
-            self.host_engine.begin_session(options)
+            self.host_engine.begin_session(run_config)
             # However the run ends, no shipped plaintext, open ingest or
             # enclave session may outlive it into the next query.
             cleanup.callback(self.host_engine.end_session)
@@ -1293,7 +1292,8 @@ class Deployment:
         """
         node, engine = self.nodes[target], run.engines[target]
         ship_meter, channel = run.ship_meters[target], run.channels[target]
-        options, tier = run.run_config.exec_options, run.run_config.oblivious
+        config = run.run_config
+        tier = config.oblivious
         shard = self._shard_attrs(node)
         portion_meter = engine.fresh_meter()
         with self.tracer.span(
@@ -1303,13 +1303,11 @@ class Deployment:
             with self._attributed(node.node_id):
                 if run.manual:
                     columns, rows, nbytes, encoded = engine.execute_sql(
-                        ship.sql, options
+                        ship.sql, config
                     )
                     column_types = self._infer_column_types(columns, rows)
                 else:
-                    columns, rows, nbytes, encoded = engine.execute_scan(
-                        ship, options
-                    )
+                    columns, rows, nbytes, encoded = engine.execute_scan(ship, config)
                     column_types = self._scan_column_types(engine, ship)
             cost = self._storage_cost(portion_meter, run)
             if channel is not None:
@@ -1356,21 +1354,19 @@ class Deployment:
     def _ship_batches(self, run: _SplitRun, ship, target: int) -> _Shipped:
         """Streaming form: the portion as a stream of bounded RecordBatches.
 
-        The scan produces a batch, the channel encrypts it (optionally
-        zlib-compressed first), and the host ingests it — and the three
-        stages *overlap* across consecutive batches, so the portion's slot
-        is the pipeline makespan, not the serial sum.  Stage durations
-        come from the same cost model as the record-framed form: the
-        portion's scan / ship-crypto / host-ingest meters are priced as a
-        whole, then apportioned across its batches by row and byte
-        weights (totals are conserved).
+        The scan produces a batch, the channel encrypts it, and the host
+        ingests it — and the three stages *overlap* across consecutive
+        batches, so the portion's slot is the pipeline makespan, not the
+        serial sum.  Stage durations come from the same cost model as the
+        record-framed form: the portion's scan / ship-crypto / host-ingest
+        meters are priced as a whole, then apportioned across its batches
+        by row and byte weights (totals are conserved).
         """
         node, engine = self.nodes[target], run.engines[target]
         ship_meter, channel = run.ship_meters[target], run.channels[target]
         host_meter, config = run.host_meter, run.run_config
-        options, tier = config.exec_options, config.oblivious
+        tier = config.oblivious
         shard = self._shard_attrs(node)
-        compress_level = config.compress_level if config.compress else 0
         portion_meter = engine.fresh_meter()
         ship_before = ship_meter.copy()
         host_before = host_meter.copy()
@@ -1382,21 +1378,17 @@ class Deployment:
             schedule = None
             fixed_rows = None
             if fixed_ship_schedule(tier):
-                schedule = self._ship_schedule(
-                    engine, table_name, batch_bytes=config.batch_bytes
-                )
+                schedule = self._ship_schedule(engine, table_name)
                 fixed_rows = schedule.rows_per_unit
             with self._attributed(node.node_id):
                 if run.manual:
                     columns, batches = engine.stream_sql(
-                        ship.sql, options,
-                        batch_bytes=config.batch_bytes, fixed_rows=fixed_rows,
+                        ship.sql, config, fixed_rows=fixed_rows
                     )
                     column_types = None  # inferred from the first batch
                 else:
                     columns, batches = engine.stream_scan(
-                        ship, options,
-                        batch_bytes=config.batch_bytes, fixed_rows=fixed_rows,
+                        ship, config, fixed_rows=fixed_rows
                     )
                     column_types = self._scan_column_types(engine, ship)
                     self.host_engine.begin_table(table_name, column_types)
@@ -1417,18 +1409,14 @@ class Deployment:
                             columns, list(batch.rows)
                         )
                         self.host_engine.begin_table(table_name, column_types)
-                    frame, saved = pack_frame(batch.payload, compress_level)
-                    frame = self._pad(frame, tier, schedule, ship_meter)
+                    frame = self._pad(
+                        pack_frame(batch.payload), tier, schedule, ship_meter
+                    )
                     ship_meter.bump("batches_shipped")
-                    if saved:
-                        ship_meter.bump("channel_bytes_saved", saved)
-                        ship_meter.bump("batch_bytes_compressed", batch.nbytes)
-                        host_meter.bump("batch_bytes_decompressed", batch.nbytes)
                     received = self._push(channel, frame)
                     if pads_channel(tier):
                         received = unpad_frame(received)
-                    payload, _ = unpack_frame(received)
-                    self.host_engine.ingest_batch(table_name, payload)
+                    self.host_engine.ingest_batch(table_name, unpack_frame(received))
                     row_weights.append(batch.row_count)
                     byte_weights.append(len(frame))
                     if self.tracer.enabled:
@@ -1439,7 +1427,6 @@ class Deployment:
                             seq=len(row_weights) - 1,
                             rows=batch.row_count,
                             bytes=len(frame),
-                            saved=saved,
                             **shard,
                         )
                 if column_types is None:
@@ -1503,9 +1490,7 @@ class Deployment:
             enclave=self.armv9_realms,
             portions=1,
         ) as phase_span:
-            result = self.storage_engine.execute_full(
-                statement, run_config.exec_options
-            )
+            result = self.storage_engine.execute_full(statement, run_config)
         # One single-threaded engine instance processes the whole query.
         breakdown = self.cost_model.phase_breakdown(
             meter,

@@ -5,8 +5,8 @@ Deployment` into N trust-isolated shards (each with its own TrustZone
 device, RPMB anchor, HKDF key domain, Merkle root and monitor-attested
 identity), partitions the TPC-H tables across them, routes and prunes
 scans shard-by-shard from zone-map synopses, and merges results host-
-side — plus a cost-based offload optimizer (``RunConfig(strategy=
-"auto")``) that picks the host/storage split per query from catalog
+side — plus a cost-based offload optimizer (``ShardedDeployment.
+run_auto``) that picks the host/storage split per query from catalog
 statistics priced through the calibrated cost model.
 
 Layering (ARCH010): this package reaches the SQL front end only through

@@ -21,19 +21,16 @@ given.  ``shards=1`` holds every row on one node, so nothing needs
 decomposing and rows, meters, simulated time and observable traces equal
 the single-node testbed's (pinned by ``tests/test_shard.py``).
 
-``RunConfig(strategy="auto")`` engages the cost-based offload optimizer
-(:mod:`repro.shard.optimizer`): the host/storage split is chosen per
-query from catalog + zone-map statistics priced through the calibrated
-cost model, and the decision (with predicted-vs-actual cost) lands in an
-``offload_plan`` telemetry span.
+:meth:`ShardedDeployment.run_auto` engages the cost-based offload
+optimizer (:mod:`repro.shard.optimizer`): the host/storage split is chosen
+per query from catalog + zone-map statistics priced through the
+calibrated cost model, and the decision (with predicted-vs-actual cost)
+lands in an ``offload_plan`` telemetry span.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..core import (
-    CONFIGS,
     Deployment,
     RunConfig,
     RunResult,
@@ -41,7 +38,7 @@ from ..core import (
     decompose_aggregate,
     pruning_for_scan,
 )
-from ..errors import IronSafeError, PartitionError
+from ..errors import PartitionError
 from ..perf import SessionTask, arbitrate, makespan_ns
 from ..sim import CAT_NETWORK, Meter, TimeBreakdown
 from ..sql.records import encode_row
@@ -129,10 +126,10 @@ class ShardedDeployment(Deployment):
         return counts
 
     # ------------------------------------------------------------------
-    # Adaptive offload (strategy="auto")
+    # Adaptive offload
     # ------------------------------------------------------------------
 
-    def run_query(
+    def run_auto(
         self,
         sql: str,
         config: str,
@@ -143,26 +140,16 @@ class ShardedDeployment(Deployment):
         authorization=None,
         run_config: RunConfig | None = None,
     ) -> RunResult:
-        run_config = run_config if run_config is not None else self.run_config
-        if run_config.strategy != "auto":
-            return super().run_query(
-                sql, config,
-                storage_cpus=storage_cpus,
-                storage_memory_bytes=storage_memory_bytes,
-                manual_partition=manual_partition,
-                authorization=authorization,
-                run_config=run_config,
-            )
-        if config not in CONFIGS:
-            raise IronSafeError(
-                f"unknown configuration {config!r} (know {sorted(CONFIGS)})"
-            )
-        statement = self.parse_select(sql)
-        cpus = storage_cpus if storage_cpus is not None else self.storage_cpus
-        memory = (
-            storage_memory_bytes
-            if storage_memory_bytes is not None
-            else self.storage_memory_bytes
+        """:meth:`run_query`, under whichever configuration of *config*'s
+        security class the offload optimizer predicts to be cheapest.
+
+        The run itself is exactly ``run_query(sql, chosen, ...)`` — same
+        rows, meters and simulated nanoseconds; what this adds is the
+        ``offload_plan`` span, the plan notes and the
+        ``optimizer_plans_considered`` counter.
+        """
+        statement, cpus, memory, run_config = self._query_inputs(
+            sql, config, storage_cpus, storage_memory_bytes, run_config
         )
         choice = self.optimizer.choose(
             statement, config, run_config, cpus=cpus, memory=memory
@@ -183,7 +170,7 @@ class ShardedDeployment(Deployment):
                     for cand in choice.candidates
                 }
             )
-        result = super().run_query(
+        result = self.run_query(
             sql, choice.chosen,
             storage_cpus=storage_cpus,
             storage_memory_bytes=storage_memory_bytes,
@@ -191,7 +178,7 @@ class ShardedDeployment(Deployment):
                 manual_partition if choice.chosen in ("scs", "vcs") else None
             ),
             authorization=authorization if choice.chosen == "scs" else None,
-            run_config=replace(run_config, strategy="manual"),
+            run_config=run_config,
         )
         # Stamp predicted-vs-actual into the decision span (the span is
         # already closed; attribute updates are free) and the run result.
@@ -265,7 +252,6 @@ class ShardedDeployment(Deployment):
         if len(self.nodes) == 1:
             # One node holds every row: the whole query runs there.
             return super()._run_storage_only(statement, cpus, memory, run_config)
-        options = run_config.exec_options
         split = decompose_aggregate(statement)
         if split is None:
             raise PartitionError(
@@ -322,7 +308,7 @@ class ShardedDeployment(Deployment):
                     table=split.base_table, shard=node.node_id,
                 ) as portion_span:
                     with self._attributed(node.node_id):
-                        result = node.engine.execute_full(split.partial, options)
+                        result = node.engine.execute_full(split.partial, run_config)
                 breakdown = self.cost_model.phase_breakdown(
                     meter, platform="arm", cores=1,
                     memory_limit_bytes=memory, in_realm=self.armv9_realms,
@@ -354,7 +340,7 @@ class ShardedDeployment(Deployment):
 
         # Host-side final: fold the shipped partials inside the enclave.
         host_meter.bump("partial_aggs_merged", len(partial_rows))
-        self.host_engine.begin_session(options)
+        self.host_engine.begin_session(run_config)
         try:
             with self.tracer.span(
                 SPAN_SHARD_MERGE, node=NODE_HOST, enclave=True,
@@ -416,12 +402,11 @@ class ShardedDeployment(Deployment):
         if len(self.nodes) == 1:
             # One node holds every row: the host opens its device directly.
             return super()._run_host_only(statement, secure, run_config)
-        options = run_config.exec_options
         plan = self.partitioner.partition(statement)
         host_meter = self.host_engine.fresh_meter()
         fetch_breakdown = TimeBreakdown()
         portion_meters: list[Meter] = []
-        self.host_engine.begin_session(options)
+        self.host_engine.begin_session(run_config)
         try:
             with self.tracer.span(
                 SPAN_HOST_EXECUTE, node=NODE_HOST, enclave=secure, shards=self.shards
@@ -437,7 +422,7 @@ class ShardedDeployment(Deployment):
                             continue
                         with self._attributed(node.node_id):
                             fetched = db.execute_statement(
-                                scan.to_select(), options=options
+                                scan.to_select(), options=run_config
                             )
                         self.host_engine.receive_table(
                             scan.table,

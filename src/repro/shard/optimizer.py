@@ -1,4 +1,4 @@
-"""Cost-based adaptive offload optimizer (``RunConfig(strategy="auto")``).
+"""Cost-based adaptive offload optimizer (``ShardedDeployment.run_auto``).
 
 Given a parsed query and the deployment's *statistics* — catalog page/row
 counts, per-page zone-map synopses, shard layout — the optimizer builds a
@@ -32,7 +32,7 @@ from ..core import (
 )
 from ..sim import Meter, PAGE_SIZE
 
-#: Security class each configuration belongs to; ``auto`` never crosses.
+#: Security class each configuration belongs to; ``run_auto`` never crosses.
 SECURE_CLASS = ("hos", "scs", "sos")
 PLAIN_CLASS = ("hons", "vcs")
 

@@ -103,13 +103,6 @@ class CostModel:
     tls_handshake_ns: float = 0.5 * NS_PER_MS
     # Authenticated encryption of channel payloads, per byte per endpoint.
     channel_crypto_ns_per_byte: float = 0.35
-    # Transparent batch compression on the ship path (zlib): deflate runs
-    # ~100 MB/s per core, inflate ~330 MB/s.  Charged per *input* byte on
-    # the compressing / decompressing endpoint; at these rates compression
-    # trades simulated time for bytes moved, which is exactly the Figure 7
-    # data-movement knob.
-    batch_compress_ns_per_byte: float = 10.0
-    batch_decompress_ns_per_byte: float = 3.0
 
     # --- Secure storage (per 4 KiB page, at x86 speed; divide by the
     # platform speed factor for ARM).  Calibrated so freshness dominates
@@ -336,20 +329,6 @@ class CostModel:
 
         if meter.channel_bytes_encrypted:
             out.add(CAT_CHANNEL_CRYPTO, meter.channel_bytes_encrypted * self.channel_crypto_ns_per_byte)
-
-        # Transparent batch (de)compression on the streaming ship path —
-        # CPU-bound, so it scales with the platform's crypto speed.
-        compressed = meter.extra.get("batch_bytes_compressed", 0)
-        decompressed = meter.extra.get("batch_bytes_decompressed", 0)
-        if compressed or decompressed:
-            out.add(
-                CAT_CHANNEL_CRYPTO,
-                (
-                    compressed * self.batch_compress_ns_per_byte
-                    + decompressed * self.batch_decompress_ns_per_byte
-                )
-                * self._platform_factor(platform),
-            )
 
         if in_enclave:
             out.add(CAT_ENCLAVE_TRANSITIONS, meter.enclave_transitions * self.enclave_transition_ns)

@@ -38,25 +38,40 @@ class Result:
         return self.rows[0][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExecOptions:
     """How one statement executes.  Passed per call and never stored on a
-    database, so nothing set for one query can reach the next.
+    database, so nothing set for one query can reach the next.  A query's
+    ``repro.core.RunConfig`` is one of these plus the ship form, and is
+    what the runner hands the engines.
 
     The defaults are the seed behaviour: every page read, hash join and
-    group-by, one tuple at a time.
+    group-by, one tuple at a time.  docs/performance.md tabulates what
+    each field may change (rows: never).
     """
 
-    #: Consult zone maps to skip pages a sargable filter provably cannot
-    #: match.  A no-op on stores without synopses (the host's memory store).
+    #: Consult authenticated zone maps to skip pages a sargable filter
+    #: provably cannot match.  Synopses are *maintained* either way; this
+    #: only gates scan-time consultation, and is a no-op on stores without
+    #: synopses (the host's memory store).  Data-dependent skipping makes
+    #: the page-access pattern a function of the predicate, which an
+    #: adversary observing the device can exploit (docs/performance.md).
     zone_maps: bool = False
-    #: Oblivious tier (``repro.oblivious``): ``padded``/``full`` make pruned
-    #: scans still fetch every page, so the device schedule is
-    #: predicate-independent; ``full`` additionally swaps hash join and
-    #: group-by for the bitonic-shuffle variants.
+    #: Oblivious tier (``repro.oblivious``): ``off`` (the seed behaviour);
+    #: ``padded`` — pruned scans still fetch every page, so the device
+    #: schedule is predicate-independent, and channel frames are padded to
+    #: fixed ciphertext sizes; ``full`` — additionally fixes the shipped
+    #: frame *count* from catalog statistics and swaps hash join /
+    #: group-by for the bitonic-shuffle variants, making the whole
+    #: observable trace identical across predicate constants.
     oblivious: str = "off"
     #: Plan the morsel operators of :mod:`repro.sql.vexec` wherever the
-    #: query's expressions have a batch form, falling back per operator.
+    #: query's expressions have a batch form, falling back per operator:
+    #: typed column batches with selection-vector filters and per-batch
+    #: amortized CPU charges (``CostModel.vector_batch_ns`` /
+    #: ``vector_value_ns``).  Morsel scans keep the pruned or padded page
+    #: schedule, and the ``full`` tier's bitonic operators and fixed ship
+    #: schedule sit above them unchanged.
     vectorized: bool = False
 
     def __post_init__(self) -> None:

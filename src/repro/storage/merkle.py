@@ -14,6 +14,7 @@ database allocates pages.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from ..crypto import KeyedHmac, constant_time_eq
 from ..errors import IntegrityError
@@ -30,7 +31,16 @@ class MerkleTree:
     cost in Figures 8/9c is exactly this count times the per-hash cost.
     """
 
-    def __init__(self, key: bytes, num_leaves: int, meter: Meter | None = None):
+    def __init__(
+        self,
+        key: bytes,
+        num_leaves: int,
+        meter: Meter | None = None,
+        *,
+        leaves: Sequence[bytes] = (),
+    ):
+        """A tree of *num_leaves* leaves: the given *leaves* first, the rest
+        empty.  Every interior node is hashed exactly once."""
         if num_leaves <= 0:
             raise IntegrityError("tree needs at least one leaf")
         self._hmac = KeyedHmac(key, "sha256")
@@ -38,12 +48,12 @@ class MerkleTree:
         self.num_leaves = num_leaves
         self._capacity = 1 << max(1, math.ceil(math.log2(num_leaves)))
         # levels[0] = leaves .. levels[-1] = [root]
-        self._levels: list[list[bytes]] = []
-        width = self._capacity
+        self._levels: list[list[bytes]] = [
+            [*leaves, *[_EMPTY] * (self._capacity - len(leaves))]
+        ]
+        width = self._capacity // 2
         while width >= 1:
             self._levels.append([_EMPTY] * width)
-            if width == 1:
-                break
             width //= 2
         self._rebuild_all()
 
@@ -198,9 +208,5 @@ class MerkleTree:
     ) -> "MerkleTree":
         if len(blob) % DIGEST_LEN:
             raise IntegrityError("corrupt serialized Merkle leaves")
-        count = max(1, len(blob) // DIGEST_LEN)
-        tree = cls(key, count, meter=meter)
-        for i in range(len(blob) // DIGEST_LEN):
-            tree._levels[0][i] = blob[i * DIGEST_LEN : (i + 1) * DIGEST_LEN]
-        tree._rebuild_all()
-        return tree
+        leaves = [blob[i : i + DIGEST_LEN] for i in range(0, len(blob), DIGEST_LEN)]
+        return cls(key, max(1, len(leaves)), meter=meter, leaves=leaves)

@@ -9,8 +9,8 @@ our materialize-then-ship path into that streamed flow:
   size-bounded :class:`EncodedBatch` es (RecordBatch wire format from
   :mod:`repro.sql.records`) with adaptive row-count targeting, so the
   storage-side working set is one batch instead of the whole result.
-* :func:`pack_frame` / :func:`unpack_frame` — optional transparent zlib
-  compression applied to each batch before channel encryption.
+* :func:`pack_frame` / :func:`unpack_frame` — the one-byte tag that marks
+  a frame as a batch before it enters the channel.
 * :class:`BatchTiming` / :func:`pipelined_ns` — the deterministic
   three-stage (storage scan → channel crypto → host ingest) pipeline
   model: per batch the deployment charges the *overlap* of the stages
@@ -24,8 +24,13 @@ is structurally incapable of reaching into the query engine or crypto.
 """
 
 from ..sim import Meter
-from .batching import DEFAULT_BATCH_BYTES, BatchAssembler, EncodedBatch
-from .compress import FLAG_RAW, FLAG_ZLIB, pack_frame, unpack_frame
+from .batching import (
+    DEFAULT_BATCH_BYTES,
+    BatchAssembler,
+    EncodedBatch,
+    pack_frame,
+    unpack_frame,
+)
 from .pipeline import (
     BatchTiming,
     apportion_ns,
@@ -37,12 +42,7 @@ from .pipeline import (
 #: Counters this layer bumps on the owning phase's Meter.  Registered so
 #: the telemetry registry absorbs them as first-class ``meter.<name>``
 #: metrics instead of warn-once ``meter.extra.*`` entries.
-STREAM_COUNTERS = (
-    "batches_shipped",
-    "channel_bytes_saved",
-    "batch_bytes_compressed",
-    "batch_bytes_decompressed",
-)
+STREAM_COUNTERS = ("batches_shipped",)
 
 for _name in STREAM_COUNTERS:
     Meter.register_counter(_name)
@@ -53,8 +53,6 @@ __all__ = [
     "BatchTiming",
     "DEFAULT_BATCH_BYTES",
     "EncodedBatch",
-    "FLAG_RAW",
-    "FLAG_ZLIB",
     "STREAM_COUNTERS",
     "apportion_ns",
     "overlap_saved_ns",

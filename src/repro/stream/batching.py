@@ -6,7 +6,9 @@ vary), so instead of encoding row-by-row and measuring, it carries a
 *row-count target* across batches: after each emitted batch it re-derives
 the per-row byte estimate from what the batch actually encoded to and
 retargets the next batch.  One encode pass and one ``b"".join`` per
-batch; peak working set is one batch, never the whole result.
+batch; peak working set is one batch, never the whole result.  On the
+wire each batch payload travels behind a one-byte frame tag
+(:func:`pack_frame` / :func:`unpack_frame`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from ..errors import StreamError
 from ..sql.records import MAX_BATCH_ROWS, encode_batch
 
-#: Default on-wire batch size target (pre-compression, pre-encryption).
+#: On-wire batch size target (pre-encryption) of every streamed ship.
 DEFAULT_BATCH_BYTES = 64 * 1024
 
 #: Row-count target for the very first batch, before any byte feedback.
@@ -38,6 +40,24 @@ class EncodedBatch:
     @property
     def nbytes(self) -> int:
         return len(self.payload)
+
+
+#: The one-byte tag that opens every batch frame on the wire.
+_FRAME_TAG = b"\x00"
+
+
+def pack_frame(payload: bytes) -> bytes:
+    """Frame a batch *payload* for the wire: its tag byte, then the payload."""
+    return _FRAME_TAG + payload
+
+
+def unpack_frame(frame: bytes) -> bytes:
+    """Undo :func:`pack_frame`; a frame without the batch tag is refused."""
+    if not frame:
+        raise StreamError("empty ship frame")
+    if frame[:1] != _FRAME_TAG:
+        raise StreamError(f"unknown ship frame flag {frame[0]}")
+    return frame[1:]
 
 
 class BatchAssembler:

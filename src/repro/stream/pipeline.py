@@ -4,7 +4,7 @@ The streamed ship path overlaps, per batch, the three phases that the
 serial path pays in sequence:
 
 1. **scan** — the storage engine producing the batch (near-data filter),
-2. **ship** — channel compression + authenticated encryption,
+2. **ship** — the channel's authenticated encryption,
 3. **ingest** — host-side decrypt/decode and enclave table append.
 
 The model is the classic synchronous pipeline recurrence: stage *k* of

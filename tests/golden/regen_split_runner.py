@@ -39,7 +39,6 @@ POINTS = {
 SHIP_POINTS = {
     "paper_padded": RunConfig(pipeline=False, oblivious="padded"),
     "paper_full": RunConfig(pipeline=False, oblivious="full"),
-    "streaming_compressed": RunConfig(compress=True),
 }
 ALL_POINTS = {**POINTS, **SHIP_POINTS}
 

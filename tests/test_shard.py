@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import CONFIGS, Deployment, RunConfig
 from repro.core.manual_partitions import MANUAL_PARTITIONS
-from repro.errors import IntegrityError, IronSafeError, PartitionError
+from repro.errors import IntegrityError, PartitionError
 from repro.shard import (
     PLAIN_CLASS,
     SECURE_CLASS,
@@ -385,32 +385,27 @@ class TestTamperAttribution:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive offload optimizer (strategy="auto")
+# Adaptive offload optimizer (ShardedDeployment.run_auto)
 # ---------------------------------------------------------------------------
 
 
 class TestAutoStrategy:
     def test_base_deployment_rejects_auto(self, base):
-        with pytest.raises(IronSafeError, match="ShardedDeployment"):
-            base.run_query(
-                SHAPED_QUERIES["filter-scan"],
-                "scs",
-                run_config=RunConfig(strategy="auto"),
-            )
+        # The entry point lives on the class that owns an optimizer; a plain
+        # Deployment has nothing to reject at run time.
+        assert not hasattr(base, "run_auto")
 
     def test_auto_stays_in_the_secure_class(self, base, sharded2):
-        run_config = RunConfig(strategy="auto")
         expected = base.run_query(DECOMPOSABLE_AGG, "scs")
-        got = sharded2.run_query(DECOMPOSABLE_AGG, "scs", run_config=run_config)
+        got = sharded2.run_auto(DECOMPOSABLE_AGG, "scs", run_config=RunConfig())
         assert got.config in SECURE_CLASS
         assert_rows_match(got.rows, expected.rows, context="auto-secure")
         assert got.host_meter.get("optimizer_plans_considered") >= 2
         assert got.plan_notes and got.plan_notes[0].startswith("optimizer chose")
 
     def test_auto_stays_in_the_plain_class(self, sharded2):
-        run_config = RunConfig(strategy="auto")
-        got = sharded2.run_query(
-            SHAPED_QUERIES["group-agg"], "vcs", run_config=run_config
+        got = sharded2.run_auto(
+            SHAPED_QUERIES["group-agg"], "vcs", run_config=RunConfig()
         )
         assert got.config in PLAIN_CLASS
 
@@ -418,8 +413,8 @@ class TestAutoStrategy:
         # pipeline=False on both sides: manual runs default to the serial
         # ship path, so auto must be compared on the same one.
         for sql in (DECOMPOSABLE_AGG, SHAPED_QUERIES["group-agg"]):
-            auto = sharded2.run_query(
-                sql, "scs", run_config=RunConfig(pipeline=False, strategy="auto")
+            auto = sharded2.run_auto(
+                sql, "scs", run_config=RunConfig(pipeline=False)
             )
             manual = {}
             for cfg in SECURE_CLASS:
@@ -427,6 +422,8 @@ class TestAutoStrategy:
                     manual[cfg] = sharded2.run_query(sql, cfg).total_ms
                 except PartitionError:
                     continue  # sos can't run non-decomposable queries
+            # The auto run *is* the chosen manual run, to the simulated ns.
+            assert auto.total_ms == manual[auto.config]
             best = min(manual.values())
             assert auto.total_ms <= best * 1.001, (
                 f"auto chose {auto.config} at {auto.total_ms:.3f}ms, "
@@ -435,9 +432,7 @@ class TestAutoStrategy:
 
     def test_prediction_recorded_in_telemetry(self, sharded2):
         tracer = sharded2.enable_tracing()
-        result = sharded2.run_query(
-            DECOMPOSABLE_AGG, "scs", run_config=RunConfig(strategy="auto")
-        )
+        result = sharded2.run_auto(DECOMPOSABLE_AGG, "scs", run_config=RunConfig())
         spans = [
             span
             for trace in tracer.traces

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import Rng
 from repro.errors import FreshnessError, IntegrityError, StorageError
+from repro.sim import Meter
 from repro.storage import (
     PAYLOAD_SIZE,
     BlockDevice,
@@ -124,6 +125,19 @@ class TestMerkleTree:
         blob = tree.serialize_leaves()
         restored = MerkleTree.from_serialized(b"key", blob)
         assert restored.root == tree.root
+
+    def test_opening_serialized_leaves_hashes_each_node_once(self):
+        tree = MerkleTree(b"key", 1)
+        for i in range(1000):
+            tree.update_leaf(i, hashlib.sha256(bytes([i % 251, i // 251])).digest())
+        meter = Meter()
+        restored = MerkleTree.from_serialized(
+            b"key", tree.serialize_leaves(), meter=meter
+        )
+        assert restored.root == tree.root
+        assert restored.num_leaves == 1000
+        # 1,000 leaves sit in a 1,024-leaf tree: 1,023 interior nodes.
+        assert meter.merkle_nodes_hashed == 1023
 
     def test_corrupt_serialization_rejected(self):
         with pytest.raises(IntegrityError):

@@ -191,38 +191,26 @@ class TestBatchAssembler:
 
 
 # ---------------------------------------------------------------------------
-# Compression framing
+# Batch framing (the class keeps the name it had when frames could be zlib)
 # ---------------------------------------------------------------------------
 
 
 class TestCompressFraming:
     def test_raw_round_trip(self):
-        frame, saved = pack_frame(b"hello", 0)
-        assert saved == 0
-        assert unpack_frame(frame) == (b"hello", False)
-
-    def test_zlib_round_trip_and_savings(self):
-        payload = b"abc" * 5000
-        frame, saved = pack_frame(payload, 6)
-        assert saved == len(payload) + 1 - len(frame)
-        assert saved > 0
-        assert unpack_frame(frame) == (payload, True)
-
-    def test_incompressible_ships_raw(self):
         payload = random.Random(7).randbytes(256)
-        frame, saved = pack_frame(payload, 9)
-        assert saved == 0
-        assert unpack_frame(frame) == (payload, False)
+        frame = pack_frame(payload)
+        # The wire format is pinned: one tag byte of value 0, then the payload.
+        assert frame == b"\x00" + payload
+        assert unpack_frame(frame) == payload
 
     def test_bad_frames_rejected(self):
         with pytest.raises(StreamError):
             unpack_frame(b"")
         with pytest.raises(StreamError):
             unpack_frame(bytes([99]) + b"x")
+        # Tag 1 was zlib; it is an unknown tag like any other now.
         with pytest.raises(StreamError):
             unpack_frame(bytes([1]) + b"not-zlib")
-        with pytest.raises(StreamError):
-            pack_frame(b"x", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +280,13 @@ class TestStreamScan:
 class TestPipelinedDeployment:
     def test_run_config_validation(self):
         with pytest.raises(IronSafeError):
-            RunConfig(batch_bytes=0)
-        with pytest.raises(IronSafeError):
-            RunConfig(compress=True, compress_level=0)
-        with pytest.raises(IronSafeError):
-            RunConfig(pipeline=False, compress=True)
+            RunConfig(oblivious="mostly")
         assert SERIAL_RUN_CONFIG.pipeline is False
+
+    def test_removed_knobs_are_gone_not_ignored(self):
+        for knob in ({"compress": True}, {"strategy": "auto"}, {"batch_bytes": 1}):
+            with pytest.raises(TypeError):
+                RunConfig(**knob)
 
     @pytest.mark.parametrize("config", ["scs", "vcs"])
     def test_pipeline_returns_same_rows(self, tiny_deployment, config):
@@ -310,28 +299,12 @@ class TestPipelinedDeployment:
 
     def test_pipeline_never_slower_and_bounds_storage_memory(self, tiny_deployment):
         serial = tiny_deployment.run_query(SQL, "scs")
-        pipe = tiny_deployment.run_query(
-            SQL, "scs", run_config=RunConfig(batch_bytes=8 * 1024)
-        )
+        pipe = tiny_deployment.run_query(SQL, "scs", run_config=RunConfig())
         assert pipe.breakdown.total_ns <= serial.breakdown.total_ns
         assert (
             pipe.storage_meter.peak_memory_bytes
             < serial.storage_meter.peak_memory_bytes
         )
-
-    def test_compression_saves_wire_bytes_and_meters_work(self, tiny_deployment):
-        plain = tiny_deployment.run_query(SQL, "scs", run_config=RunConfig())
-        comp = tiny_deployment.run_query(
-            SQL, "scs", run_config=RunConfig(compress=True)
-        )
-        assert sorted(comp.rows) == sorted(plain.rows)
-        assert comp.channel_bytes_saved > 0
-        assert comp.bytes_shipped < plain.bytes_shipped
-        assert comp.storage_meter.get("batch_bytes_compressed") > 0
-        assert comp.host_meter.get("batch_bytes_decompressed") > 0
-        # Compression trades simulated CPU for bytes moved: the crypto +
-        # compression category grows even as wire bytes shrink.
-        assert plain.channel_bytes_saved == 0
 
     def test_tamper_on_channel_detected_mid_stream(self, tiny_deployment):
         """Flipping a bit in a shipped batch record trips the channel MAC."""
