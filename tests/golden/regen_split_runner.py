@@ -4,8 +4,9 @@
 five vcs/scs paths were folded into one runner, so it is the old code's
 behaviour that ``tests/test_golden_runner.py`` holds the runner to; the
 ``tpch/`` cases were added at the commit before ``RunConfig`` shrank to four
-fields, the same way.  Rerun it only for a change that is meant to move a
-pinned number, and say so in CHANGES.md:
+fields, and the sharded hons/hos/sos and ``table3/`` cases at the commit
+before pricing moved into one module, the same way.  Rerun it only for a
+change that is meant to move a pinned number, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen_split_runner.py
 """
@@ -18,6 +19,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.core import CONFIGS, MANUAL_PARTITIONS, Deployment, RunConfig
+from repro.errors import ComplianceError, PartitionError
+from repro.gdpr import GDPRWorkbench
 from repro.shard import ShardedDeployment, ShardingSpec, TablePartitioning, default_tpch_sharding
 from repro.tpch import ALL_QUERIES
 
@@ -88,6 +91,15 @@ def observe(deployment, recorder, sql, config, run_config, manual) -> dict:
     }
 
 
+def observe_or_refusal(deployment, recorder, sql, config, run_config, manual) -> dict:
+    """:func:`observe`, or the class of the ``PartitionError`` a sharded
+    ``sos`` raises for a query it cannot decompose."""
+    try:
+        return observe(deployment, recorder, sql, config, run_config, manual)
+    except PartitionError as exc:
+        return {"error": type(exc).__name__}
+
+
 def _runnable(manual, run_config) -> bool:
     # A hand-written ship names a derived table (``c_orders``) that no
     # catalog holds, so the full tier cannot bound its ship schedule and the
@@ -133,8 +145,8 @@ def tpch_cases():
 
 
 def sharded_cases():
-    """``ShardedDeployment``: scs/vcs x serial/streaming x 2 and 4 shards,
-    plus a layout that forces the co-partition fallback."""
+    """``ShardedDeployment``: every config x serial/streaming x 2 and 4
+    shards, plus a layout that forces the co-partition fallback."""
     points = {name: POINTS[name] for name in ("paper", "streaming")}
     for shards in (2, 4):
         deployment, recorder = _observed(
@@ -156,6 +168,15 @@ def sharded_cases():
                         deployment, recorder, SHAPES["q6_scan"][0], "scs", run_config, None
                     ),
                 )
+        for config in ("hons", "hos", "sos"):
+            for shape, (sql, manual) in SHAPES.items():
+                for point, run_config in points.items():
+                    yield (
+                        f"shards{shards}/{config}/{shape}/{point}",
+                        observe_or_refusal(
+                            deployment, recorder, sql, config, run_config, manual
+                        ),
+                    )
     layout = default_tpch_sharding(2, SF)
     tables = {**layout.tables, "orders": TablePartitioning("hash", "o_orderkey", 0)}
     deployment, recorder = _observed(
@@ -172,9 +193,55 @@ def sharded_cases():
         )
 
 
+TABLE3_SCENARIOS = (
+    "timely_deletion", "indiscriminate_use", "transparent_sharing",
+    "risk_agnostic", "data_breaches",
+)
+
+
+def table3_cases():
+    """``GDPRWorkbench(rows=400)``: each Table 3 scenario's result, then the
+    rows, per-category ns and storage meter of each ``run_ironsafe`` call it
+    made (or the class of the error that call raised)."""
+    workbench = GDPRWorkbench(rows=400)
+    engine = workbench.deployment.storage_engine
+    run_ironsafe = workbench.run_ironsafe
+    calls: list[dict] = []
+
+    def recorded(*args, **kwargs):
+        try:
+            result, total, auth = run_ironsafe(*args, **kwargs)
+        except ComplianceError as exc:
+            calls.append({"error": type(exc).__name__})
+            raise
+        calls.append({
+            "rows": hashlib.sha256(repr((result.columns, result.rows)).encode()).hexdigest(),
+            "row_count": len(result.rows),
+            "ns": dict(sorted(total.by_category.items())),
+            "storage_meter": meter_counts(engine.meter),
+        })
+        return result, total, auth
+
+    workbench.run_ironsafe = recorded
+    for name in TABLE3_SCENARIOS:
+        scenario = getattr(workbench, f"scenario_{name}")()
+        yield (
+            f"table3/{name}",
+            {
+                "name": scenario.name,
+                "detail": scenario.detail,
+                "ms": {"baseline": scenario.baseline_ms, "ironsafe": scenario.ironsafe_ms},
+            },
+        )
+        for index, call in enumerate(calls):
+            yield f"table3/{name}/run_ironsafe{index}", call
+        calls.clear()
+
+
 def main() -> None:
     golden = {
         **dict(single_node_cases()), **dict(tpch_cases()), **dict(sharded_cases()),
+        **dict(table3_cases()),
     }
     # One case per line, so a moved number shows up as a one-line diff.
     lines = [

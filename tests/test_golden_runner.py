@@ -4,7 +4,8 @@
 query shape, run-config point) in ``tests/golden/regen_split_runner.py``, what
 the pre-refactor code produced: row digest, every counter of both meters,
 bytes shipped, per-category simulated nanoseconds and the adversary-trace
-fingerprint.  Counts, digests and fingerprints must match exactly; simulated
+fingerprint; and for each Table 3 scenario its result and what each of its
+``run_ironsafe`` calls charged and counted.  Counts, digests and fingerprints must match exactly; simulated
 time to 1e-9 relative (summation order inside a breakdown may differ).
 """
 
@@ -19,10 +20,11 @@ from tests.golden.regen_split_runner import (
     GOLDEN_PATH,
     sharded_cases,
     single_node_cases,
+    table3_cases,
     tpch_cases,
 )
 
-NS_KEYS = ("ns", "storage_ns", "host_ns")
+NS_KEYS = ("ns", "storage_ns", "host_ns", "ms")
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +71,7 @@ def test_every_tpch_query_matches_goldens_at_the_benchmark_points(golden):
 
 def test_sharded_matches_pre_refactor_goldens(golden):
     _check(sharded_cases(), golden, "shards")
+
+
+def test_table3_matches_goldens(golden):
+    _check(table3_cases(), golden, "table3/")
