@@ -6,15 +6,17 @@ are light (2, 3, 4, 5, 7, 10) already beat hos with a single CPU.
 
 Each offloaded portion runs single-threaded (one engine instance), so
 extra CPUs help by running *different* portions concurrently — the sweep
-re-costs the recorded portion meters under an LPT schedule, without
-re-executing the queries.
+re-prices the recorded scs run at each CPU count through the runner's own
+pricing function, which equals re-running it (execution never reads the
+CPU count).
 """
 
 from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import format_table, recost_split
+from repro.bench import format_table
+from repro.sim.pricing import price_split
 
 CPU_COUNTS = (1, 2, 4, 8, 16)
 
@@ -26,12 +28,12 @@ def test_fig10_cpu_scaling(benchmark, deployment, tpch_suite):
             hos_ms = q.ms("hos")
             speedups = [
                 hos_ms
-                / recost_split(
-                    q.runs["scs"],
+                / price_split(
                     deployment.cost_model,
+                    q.runs["scs"].record,
                     cpus=cpus,
-                    memory_bytes=deployment.storage_memory_bytes,
-                )
+                    memory=deployment.storage_memory_bytes,
+                ).breakdown.total_ms
                 for cpus in CPU_COUNTS
             ]
             rows.append([f"Q{q.number}", *speedups])

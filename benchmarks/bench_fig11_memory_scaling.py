@@ -6,15 +6,19 @@ most others improve at 256 MiB and then plateau; Q13's offloaded portion
 performs a memory-intensive join and keeps improving up to 2 GiB.
 
 Memory limits scale by our-data/paper-data so pressure points land where
-the paper's did (the simulated DB stands in for the SF-3 instance).
+the paper's did (the simulated DB stands in for the SF-3 instance).  The
+recorded scs run is re-priced at each memory point through the runner's
+own pricing function, which equals re-running it (execution never reads
+the memory limit).
 """
 
 from __future__ import annotations
 
 from conftest import run_once
 
-from repro.bench import format_table, recost_split
+from repro.bench import format_table
 from repro.sim import MIB, PAGE_SIZE
+from repro.sim.pricing import price_split
 
 PAPER_SF3_BYTES = 3.2e9
 MEMORY_POINTS_MIB = (128, 256, 2048)
@@ -31,9 +35,9 @@ def test_fig11_memory_scaling(benchmark, deployment, tpch_suite):
             speedups = []
             for mib in MEMORY_POINTS_MIB:
                 limit = max(PAGE_SIZE, int(mib * MIB * ratio))
-                ms = recost_split(
-                    q.runs["scs"], deployment.cost_model, cpus=16, memory_bytes=limit
-                )
+                ms = price_split(
+                    deployment.cost_model, q.runs["scs"].record, cpus=16, memory=limit
+                ).breakdown.total_ms
                 if base_ms is None:
                     base_ms = ms
                 speedups.append(base_ms / ms)

@@ -10,10 +10,8 @@ from .harness import (
     format_table,
     geomean,
     overhead_breakdown,
-    recost_split,
     run_tpch_suite,
     scaled_epc_limit,
-    storage_portion_ms,
 )
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "format_table",
     "geomean",
     "overhead_breakdown",
-    "recost_split",
     "run_tpch_suite",
     "scaled_epc_limit",
-    "storage_portion_ms",
 ]

@@ -1,5 +1,6 @@
 """Benchmark harness: builds deployments, runs the paper's experiments,
-re-costs split runs under resource sweeps, and formats result tables.
+and formats result tables.  Resource sweeps re-price a recorded run
+through :func:`repro.sim.pricing.price_split`.
 
 Every experiment here regenerates one table or figure of the paper's
 evaluation (see DESIGN.md §5 for the index).  Reported numbers are
@@ -11,15 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core import Deployment, RunResult, lpt_makespan_ns
+from ..core import Deployment, RunResult
 from ..core.manual_partitions import MANUAL_PARTITIONS
-from ..sim import (
-    CAT_CHANNEL_CRYPTO,
-    CAT_DECRYPTION,
-    CAT_FRESHNESS,
-    CostModel,
-    MIB,
-)
+from ..sim import CAT_CHANNEL_CRYPTO, CAT_DECRYPTION, CAT_FRESHNESS, MIB
 from ..tpch import ALL_QUERIES, EVALUATED_NUMBERS
 
 GIB = 1024**3
@@ -107,60 +102,6 @@ def run_tpch_suite(
                 )
         out.append(runs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Re-costing split runs under resource sweeps (Figures 10-12)
-# ---------------------------------------------------------------------------
-
-
-def recost_split(
-    result: RunResult,
-    cost_model: CostModel,
-    *,
-    cpus: int,
-    memory_bytes: int,
-) -> float:
-    """Total ms of a recorded split run under different storage resources.
-
-    Uses the per-portion meters captured during the run; the host phase and
-    monitor path are unchanged by storage-side knobs.
-    """
-    portion_ns = [
-        cost_model.phase_breakdown(
-            m, platform="arm", cores=1, memory_limit_bytes=memory_bytes
-        ).total_ns
-        for m in result.portion_meters
-    ]
-    wall_ns = lpt_makespan_ns(portion_ns, cpus)
-    channel_ns = result.storage_meter.channel_bytes_encrypted * cost_model.channel_crypto_ns_per_byte
-    transfer_ns = cost_model.net_transfer_ns(
-        result.bytes_shipped, messages=max(1, result.bytes_shipped // 65536)
-    )
-    storage_wall = wall_ns + channel_ns
-    total = result.monitor_breakdown.total_ns + storage_wall
-    total += max(0.0, transfer_ns - storage_wall)
-    total += result.host_breakdown.total_ns
-    if result.config == "scs":
-        total += cost_model.tls_handshake_ns
-    return total / 1e6
-
-
-def split_breakdown_totals(result: RunResult) -> dict[str, float]:
-    """Category totals in ms for one run (debug/report helper)."""
-    return {k: v / 1e6 for k, v in sorted(result.breakdown.by_category.items())}
-
-
-def storage_portion_ms(
-    result: RunResult, cost_model: CostModel, *, memory_bytes: int
-) -> float:
-    """Sum of the offloaded portions' execution time (Figure 12's metric)."""
-    return sum(
-        cost_model.phase_breakdown(
-            m, platform="arm", cores=1, memory_limit_bytes=memory_bytes
-        ).total_ns
-        for m in result.portion_meters
-    ) / 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .deployment import (
     Deployment,
     RunResult,
     StorageNode,
-    lpt_makespan_ns,
 )
 from .host_engine import HostEngine
 from .manual_partitions import MANUAL_PARTITIONS
@@ -66,7 +65,6 @@ __all__ = [
     "VCS",
     "channel_pair",
     "decompose_aggregate",
-    "lpt_makespan_ns",
     "pruning_for_scan",
     "statement_shape",
 ]

@@ -29,28 +29,22 @@ from ..oblivious import (
     unpad_frame,
 )
 from ..perf import SessionTask, arbitrate, makespan_ns
-from ..sim import (
-    CAT_NETWORK,
-    CAT_POLICY,
-    CostModel,
-    Meter,
-    NetworkLink,
-    PAGE_SIZE,
-    SimClock,
-    TimeBreakdown,
+from ..sim import CostModel, Meter, NetworkLink, PAGE_SIZE, SimClock, TimeBreakdown
+from ..sim.pricing import (
+    Portion,
+    PortionTime,
+    PullRecord,
+    SplitRecord,
+    StorageRecord,
+    price_host_pull,
+    price_split,
+    price_storage_only,
 )
 from ..sql import Database, PagedStore
 from ..sql import ast_nodes as A
 from ..sql.parser import parse
 from ..storage import BlockDevice, InMemoryAnchor, Pager, SecurePager
-from ..stream import (
-    DEFAULT_BATCH_BYTES,
-    BatchTiming,
-    apportion_ns,
-    pack_frame,
-    pipelined_ns,
-    unpack_frame,
-)
+from ..stream import DEFAULT_BATCH_BYTES, pack_frame, unpack_frame
 from ..telemetry import (
     NODE_CLIENT,
     NODE_HOST,
@@ -117,15 +111,18 @@ class RunResult:
     host_meter: Meter = field(default_factory=Meter)
     bytes_shipped: int = 0
     plan_notes: list[str] = field(default_factory=list)
-    # Split-execution extras: one meter per offloaded portion (so CPU /
-    # memory sweeps can re-cost the run without re-executing it) and the
-    # monitor's admission-path time.
-    portion_meters: list[Meter] = field(default_factory=list)
-    monitor_breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
+    #: What the run did, in counts: the input of its cut's pricing function
+    #: in :mod:`repro.sim.pricing` (a CPU / memory sweep re-prices it).
+    record: SplitRecord | PullRecord | StorageRecord | None = None
 
     @property
     def total_ms(self) -> float:
         return self.breakdown.total_ms
+
+    @property
+    def portion_meters(self) -> list[Meter]:
+        """One meter per offloaded portion, per-shard partial or pull."""
+        return [portion.meter for portion in self.record.portions] if self.record else []
 
     @property
     def pages_transferred(self) -> int:
@@ -166,52 +163,14 @@ class _SplitRun:
     """What the stages of one vcs/scs run share (see ``Deployment._run_split``)."""
 
     run_config: RunConfig
-    secure: bool
-    in_realm: bool
-    memory: int
     #: The ships are hand-written SQL, not planned table scans.
     manual: bool
-    host_meter: Meter
-    #: Per storage node: the engine this run drives, the meter its channel
-    #: crypto lands on, and (scs only) the (host end, node end) channel.
+    #: What the run did, filled in as it goes.
+    record: SplitRecord
+    #: Per storage node: the engine this run drives and (scs only) the
+    #: (host end, node end) channel, metered on ``record``.
     engines: list[StorageEngine]
-    ship_meters: list[Meter]
     channels: list[tuple | None]
-
-
-@dataclass
-class _Shipped:
-    """One portion scanned on one node and shipped to the host."""
-
-    node: int
-    #: The portion's own scan meter (re-costed by the CPU/memory sweeps).
-    meter: Meter
-    #: Bytes and RecordBatches put on the wire (record framing counts no
-    #: batches: its message count is derived from the byte total).
-    nbytes: int
-    batches: int
-    #: The portion's slot in its node's CPU schedule, and what the same
-    #: work costs with no overlap (equal when nothing overlaps).
-    duration_ns: float
-    serial_ns: float
-    #: Host ingest already overlapped into the storage phase (streaming).
-    ingest: TimeBreakdown
-
-
-def lpt_makespan_ns(durations_ns: list[float], workers: int) -> float:
-    """Longest-processing-time schedule of serial portions onto CPUs.
-
-    Each offloaded statement runs single-threaded (one SQLite-like
-    instance per split portion); extra storage CPUs only help by
-    running different portions concurrently.
-    """
-    if not durations_ns:
-        return 0.0
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations_ns, reverse=True):
-        index = min(range(len(loads)), key=loads.__getitem__)
-        loads[index] += duration
-    return max(loads)
 
 
 @dataclass
@@ -831,7 +790,6 @@ class Deployment:
                             # fold it into the session's completed trace.
                             obsv.adopt_pending(obsv.last_trace())
                     result.breakdown.merge(monitor_breakdown)
-                    result.monitor_breakdown.merge(monitor_breakdown)
                 else:
                     result = self.run_query(sql, cfg)
                 if obsv is not None:
@@ -940,21 +898,18 @@ class Deployment:
 
         if secure:
             self._charge_enclave_paging(meter, pager)
-        breakdown = self.cost_model.phase_breakdown(
-            meter,
-            platform="x86",
-            in_enclave=secure,
-            remote_io=True,
-        )
-        exec_span.set_sim_ns(breakdown.total_ns)
+        record = PullRecord(secure=secure, host_meter=meter)
+        priced = price_host_pull(self.cost_model, record)
+        exec_span.set_sim_ns(priced.breakdown.total_ns)
         exec_span.set_attrs(rows=len(result.rows), pages_read=meter.pages_read)
         return RunResult(
             config="hos" if secure else "hons",
             columns=result.columns,
             rows=result.rows,
-            breakdown=breakdown,
-            host_breakdown=breakdown.copy(),
+            breakdown=priced.breakdown,
+            host_breakdown=priced.host,
             host_meter=meter,
+            record=record,
         )
 
     # -- split execution (vcs / scs) -----------------------------------------
@@ -1034,12 +989,11 @@ class Deployment:
         skip: the one storage server holds everything."""
         return [0], 0
 
-    def _storage_cost(self, meter: Meter, run: _SplitRun) -> TimeBreakdown:
-        """Price storage-side work: one single-threaded ARM engine instance."""
-        return self.cost_model.phase_breakdown(
-            meter, platform="arm", cores=1,
-            memory_limit_bytes=run.memory, in_realm=run.in_realm,
-        )
+    def _priced_event(self, name: str, ns: float, **attrs) -> None:
+        """A marker span for time a run is charged outside its phases."""
+        span = self.tracer.event(name, **attrs)
+        if span is not None:
+            span.set_sim_ns(ns)
 
     def _shard_attrs(self, node: StorageNode) -> dict:
         """Span attribute naming the shard — only where there is a choice."""
@@ -1056,9 +1010,9 @@ class Deployment:
         (scs) → open the host session and one channel per node → for each
         ship, route it, and on each target node scan and ship (one of two
         wire forms, by ``run_config.pipeline``) → run the host statement →
-        price each node's wall time, overlap the nodes through the
-        arbiter, and assemble the breakdown.  docs/performance.md says
-        what each stage charges.
+        price the recorded counts (:func:`~repro.sim.pricing.price_split`)
+        and stamp the spans.  docs/performance.md says what each stage
+        charges.
         """
         pipelined = run_config.pipeline
         sharded = len(self.nodes) > 1
@@ -1094,15 +1048,17 @@ class Deployment:
             # However the run ends, no shipped plaintext, open ingest or
             # enclave session may outlive it into the next query.
             cleanup.callback(self.host_engine.end_session)
+            record = SplitRecord(
+                secure=secure, in_realm=secure and self.armv9_realms,
+                pipelined=pipelined, portions=[], ship_meters=ship_meters,
+                host_meter=host_meter, monitor=monitor_breakdown,
+            )
             run = _SplitRun(
-                run_config=run_config, secure=secure,
-                in_realm=secure and self.armv9_realms, memory=memory,
-                manual=manual is not None, host_meter=host_meter,
+                run_config=run_config, manual=manual is not None, record=record,
                 engines=[
                     node.engine if secure else node.engine_plain
                     for node in self.nodes
                 ],
-                ship_meters=ship_meters,
                 channels=[
                     channel_pair(
                         self.link, "host", node.endpoint, auth.session.key,
@@ -1117,9 +1073,9 @@ class Deployment:
             # meter so portions can be scheduled across the storage CPUs.
             ship_portion = self._ship_batches if pipelined else self._ship_records
             stores = [engine.db.store for engine in run.engines]
-            portions: list[_Shipped] = []
+            stamps = []
             with self.tracer.span(
-                SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=run.in_realm,
+                SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=record.in_realm,
                 portions=len(ships), **shards,
             ) as phase_span:
                 for ship in ships:
@@ -1139,7 +1095,7 @@ class Deployment:
                             self._scan_column_types(run.engines[0], ship), [],
                         )
                     for target in targets:
-                        portions.append(ship_portion(run, ship, target))
+                        stamps.append(ship_portion(run, ship, target))
 
             # Host phase: the full query over the shipped tables.
             host_statement = (
@@ -1150,110 +1106,45 @@ class Deployment:
             ) as host_span:
                 result = self.host_engine.run(host_statement)
 
-        total_bytes = sum(p.nbytes for p in portions)
-        total_batches = sum(p.batches for p in portions)
-        ingest_breakdown = TimeBreakdown()
-        for portion in portions:
-            ingest_breakdown.merge(portion.ingest)
-
-        # Per-node wall time: each node LPT-schedules its own portions
-        # over its own CPUs and pays its own serial leftovers — whatever
-        # its merged meters cost beyond the per-portion slices (channel
-        # crypto; nonlinear charges such as memory-pressure spill, which
-        # are priced on the merged meter).  The deterministic arbiter then
-        # runs the nodes concurrently, so the phase wall is the slowest
-        # node's; with one node it is that node's.
-        storage_meter = Meter()
-        node_walls: list[float] = []
-        for index, ship_meter in enumerate(run.ship_meters):
-            mine = [p for p in portions if p.node == index]
-            merged = Meter()
-            node_ingest = TimeBreakdown()
-            for portion in mine:
-                merged.merge(portion.meter)
-                node_ingest.merge(portion.ingest)
-            merged.merge(ship_meter)
-            work = self._storage_cost(merged, run).merge(node_ingest)
-            node_walls.append(
-                lpt_makespan_ns([p.duration_ns for p in mine], cpus)
-                + max(0.0, work.total_ns - sum(p.serial_ns for p in mine))
-            )
-            storage_meter.merge(merged)
-        storage_wall_ns = makespan_ns(
-            arbitrate(
-                [SessionTask(index, wall) for index, wall in enumerate(node_walls)],
-                len(self.nodes),
-            )
-        )
-        work_breakdown = self._storage_cost(storage_meter, run).merge(ingest_breakdown)
-        if work_breakdown.total_ns > 0:
-            storage_breakdown = work_breakdown.scaled(
-                storage_wall_ns / work_breakdown.total_ns
-            )
-        else:
-            storage_breakdown = work_breakdown
+        priced = price_split(self.cost_model, record, cpus=cpus, memory=memory)
+        for stamp, slot in zip(stamps, priced.portions):
+            stamp(slot)
+        total_bytes = sum(p.nbytes for p in record.portions)
         # The phase's wall time is the schedule, not the sum of the
-        # portion spans (extra CPUs and nodes overlap portions): stamp it.
-        phase_span.set_sim_ns(storage_breakdown.total_ns)
+        # portion spans (extra CPUs and nodes overlap portions).
+        phase_span.set_sim_ns(priced.storage.total_ns)
         phase_span.set_attrs(
             bytes_shipped=total_bytes, cpus=cpus, pipelined=pipelined,
-            batches=total_batches,
+            batches=sum(p.batches for p in record.portions),
         )
-
-        host_breakdown = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=secure
-        )
-        # Streamed ingest already overlapped into the storage phase above;
-        # the join/agg phase is what the host did beyond it.
-        join_breakdown = (
-            host_breakdown.minus(ingest_breakdown) if pipelined else host_breakdown
-        )
-        host_span.set_sim_ns(join_breakdown.total_ns)
+        host_span.set_sim_ns(priced.join.total_ns)
         host_span.set_attrs(rows=len(result.rows))
-
-        # Shipping overlaps with storage-side execution (the paper streams
-        # records asynchronously): only the excess transfer time shows up.
-        transfer_ns = self.cost_model.net_transfer_ns(
-            total_bytes,
-            messages=max(1, total_batches if pipelined else total_bytes // 65536),
-        )
-        total = TimeBreakdown()
-        total.merge(monitor_breakdown)
-        total.merge(storage_breakdown)
-        overflow = transfer_ns - storage_breakdown.total_ns
-        if overflow > 0:
-            total.add(CAT_NETWORK, overflow)
-            span = self.tracer.event(
-                SPAN_CHANNEL_TRANSFER, node=NODE_NETWORK, bytes=total_bytes
+        if priced.transfer_ns > 0:
+            self._priced_event(
+                SPAN_CHANNEL_TRANSFER, priced.transfer_ns, node=NODE_NETWORK,
+                bytes=total_bytes,
             )
-            if span is not None:
-                span.set_sim_ns(overflow)
-        total.merge(join_breakdown)
         if secure:
-            # Control-path cost: per-request TLS session establishment.
-            total.add(CAT_POLICY, self.cost_model.tls_handshake_ns)
-            span = self.tracer.event(SPAN_SESSION_SETUP, node=NODE_HOST)
-            if span is not None:
-                span.set_sim_ns(self.cost_model.tls_handshake_ns)
+            self._priced_event(SPAN_SESSION_SETUP, priced.handshake_ns, node=NODE_HOST)
 
         return RunResult(
             config="scs" if secure else "vcs",
             columns=result.columns,
             rows=result.rows,
-            breakdown=total,
-            storage_breakdown=storage_breakdown,
-            host_breakdown=host_breakdown,
-            storage_meter=storage_meter,
+            breakdown=priced.breakdown,
+            storage_breakdown=priced.storage,
+            host_breakdown=priced.host,
+            storage_meter=record.storage_meter(),
             host_meter=host_meter,
             bytes_shipped=total_bytes,
             plan_notes=notes + (plan.notes if plan is not None else [manual.note]),
-            portion_meters=[p.meter for p in portions],
-            monitor_breakdown=monitor_breakdown,
+            record=record,
         )
 
     # The two wire forms of "scan one portion on one node and ship it".
-    # Both take (run, ship, node index) and return a _Shipped; they share
-    # the three helpers below.
+    # Both take (run, ship, node index), record the portion's counts and
+    # return a function that stamps its spans once the run is priced; they
+    # share the three helpers below.
 
     @staticmethod
     def _push(channel, frame: bytes) -> bytes:
@@ -1282,7 +1173,7 @@ class Deployment:
         ship_meter.bump("oblivious_pad_bytes", len(filler))
         return filler
 
-    def _ship_records(self, run: _SplitRun, ship, target: int) -> _Shipped:
+    def _ship_records(self, run: _SplitRun, ship, target: int):
         """Record-framed form: materialize the portion, then ship it.
 
         The scan runs to completion, its rows are serialized once, and
@@ -1291,13 +1182,16 @@ class Deployment:
         overlaps, so the portion's slot is just its scan.
         """
         node, engine = self.nodes[target], run.engines[target]
-        ship_meter, channel = run.ship_meters[target], run.channels[target]
+        record, channel = run.record, run.channels[target]
+        ship_meter, host_meter = record.ship_meters[target], record.host_meter
         config = run.run_config
         tier = config.oblivious
         shard = self._shard_attrs(node)
         portion_meter = engine.fresh_meter()
+        ship_before, host_before = ship_meter.copy(), host_meter.copy()
+        ship_span = None
         with self.tracer.span(
-            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=run.in_realm,
+            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=record.in_realm,
             table=ship.table, **shard,
         ) as portion_span:
             with self._attributed(node.node_id):
@@ -1309,9 +1203,7 @@ class Deployment:
                 else:
                     columns, rows, nbytes, encoded = engine.execute_scan(ship, config)
                     column_types = self._scan_column_types(engine, ship)
-            cost = self._storage_cost(portion_meter, run)
             if channel is not None:
-                shipped_before = ship_meter.channel_bytes_encrypted
                 with self.tracer.span(
                     SPAN_CHANNEL_SHIP, node=NODE_STORAGE, table=ship.table, **shard,
                 ) as ship_span:
@@ -1333,46 +1225,46 @@ class Deployment:
                         # the channel trace length is fixed too.
                         for _ in range(max(0, schedule.units - records)):
                             self._push(channel, self._dummy(schedule, ship_meter))
-                shipped = ship_meter.channel_bytes_encrypted - shipped_before
-                ship_span.set_sim_ns(
-                    shipped * self.cost_model.channel_crypto_ns_per_byte
-                )
                 ship_span.set_attrs(bytes=nbytes, rows=len(rows))
             self.host_engine.receive_table(ship.table, column_types, rows)
-        portion_span.set_sim_ns(cost.total_ns)
-        portion_span.set_attrs(
-            rows=len(rows),
-            bytes=nbytes,
-            **{f"{category}_ns": ns for category, ns in sorted(cost.by_category.items())},
-        )
-        return _Shipped(
-            node=target, meter=portion_meter, nbytes=nbytes, batches=0,
-            duration_ns=cost.total_ns, serial_ns=cost.total_ns,
-            ingest=TimeBreakdown(),
-        )
+        portion_span.set_attrs(rows=len(rows), bytes=nbytes)
 
-    def _ship_batches(self, run: _SplitRun, ship, target: int) -> _Shipped:
+        def stamp(slot: PortionTime) -> None:
+            portion_span.set_sim_ns(slot.scan.total_ns)
+            portion_span.set_attrs(
+                **{f"{category}_ns": ns for category, ns in sorted(slot.scan.by_category.items())}
+            )
+            if ship_span is not None:
+                ship_span.set_sim_ns(slot.ship_ns)
+
+        record.portions.append(
+            Portion(
+                node=target, meter=portion_meter, ship=ship_meter.delta(ship_before),
+                ingest=host_meter.delta(host_before), nbytes=nbytes,
+            )
+        )
+        return stamp
+
+    def _ship_batches(self, run: _SplitRun, ship, target: int):
         """Streaming form: the portion as a stream of bounded RecordBatches.
 
         The scan produces a batch, the channel encrypts it, and the host
         ingests it — and the three stages *overlap* across consecutive
         batches, so the portion's slot is the pipeline makespan, not the
-        serial sum.  Stage durations come from the same cost model as the
-        record-framed form: the portion's scan / ship-crypto / host-ingest
-        meters are priced as a whole, then apportioned across its batches
-        by row and byte weights (totals are conserved).
+        serial sum.  The portion records each batch's rows and wire bytes,
+        the weights that split its stage costs across the pipeline.
         """
         node, engine = self.nodes[target], run.engines[target]
-        ship_meter, channel = run.ship_meters[target], run.channels[target]
-        host_meter, config = run.host_meter, run.run_config
+        record, channel = run.record, run.channels[target]
+        ship_meter, host_meter = record.ship_meters[target], record.host_meter
+        config = run.run_config
         tier = config.oblivious
         shard = self._shard_attrs(node)
         portion_meter = engine.fresh_meter()
-        ship_before = ship_meter.copy()
-        host_before = host_meter.copy()
+        ship_before, host_before = ship_meter.copy(), host_meter.copy()
         table_name = ship.table
         with self.tracer.span(
-            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=run.in_realm,
+            SPAN_NDP_FILTER, node=NODE_STORAGE, enclave=record.in_realm,
             table=table_name, **shard,
         ) as portion_span:
             schedule = None
@@ -1446,37 +1338,24 @@ class Deployment:
                         row_weights.append(0)
                         byte_weights.append(len(filler))
                 self.host_engine.finish_table(table_name)
-
-            # Price each stage's work for this portion as a whole, then
-            # split it across the portion's batches to feed the pipeline
-            # model.
-            scan_cost = self._storage_cost(portion_meter, run)
-            ship_cost = self._storage_cost(ship_meter.delta(ship_before), run)
-            ingest_cost = self.cost_model.phase_breakdown(
-                host_meter.delta(host_before), platform="x86", in_enclave=run.secure
-            )
-            timings = [
-                BatchTiming(scan_ns=s, ship_ns=c, ingest_ns=h)
-                for s, c, h in zip(
-                    apportion_ns(scan_cost.total_ns, row_weights),
-                    apportion_ns(ship_cost.total_ns, byte_weights),
-                    apportion_ns(ingest_cost.total_ns, row_weights),
-                )
-            ]
-            serial_ns = scan_cost.total_ns + ship_cost.total_ns + ingest_cost.total_ns
-            makespan = pipelined_ns(timings) if timings else serial_ns
-        portion_span.set_sim_ns(makespan)
         portion_span.set_attrs(
             rows=sum(row_weights),
             bytes=sum(byte_weights),
             batches=len(row_weights),
-            serial_ns=serial_ns,
         )
-        return _Shipped(
-            node=target, meter=portion_meter, nbytes=sum(byte_weights),
-            batches=len(row_weights), duration_ns=makespan, serial_ns=serial_ns,
-            ingest=ingest_cost,
+
+        def stamp(slot: PortionTime) -> None:
+            portion_span.set_sim_ns(slot.duration_ns)
+            portion_span.set_attrs(serial_ns=slot.serial_ns)
+
+        record.portions.append(
+            Portion(
+                node=target, meter=portion_meter, ship=ship_meter.delta(ship_before),
+                ingest=host_meter.delta(host_before), row_weights=row_weights,
+                byte_weights=byte_weights, nbytes=sum(byte_weights),
+            )
         )
+        return stamp
 
     # -- storage only (sos) ----------------------------------------------
 
@@ -1492,22 +1371,18 @@ class Deployment:
         ) as phase_span:
             result = self.storage_engine.execute_full(statement, run_config)
         # One single-threaded engine instance processes the whole query.
-        breakdown = self.cost_model.phase_breakdown(
-            meter,
-            platform="arm",
-            cores=1,
-            memory_limit_bytes=memory,
-            in_realm=self.armv9_realms,
-        )
-        phase_span.set_sim_ns(breakdown.total_ns)
+        record = StorageRecord(in_realm=self.armv9_realms, whole=meter)
+        priced = price_storage_only(self.cost_model, record, memory=memory)
+        phase_span.set_sim_ns(priced.breakdown.total_ns)
         phase_span.set_attrs(rows=len(result.rows), pages_read=meter.pages_read)
         return RunResult(
             config="sos",
             columns=result.columns,
             rows=result.rows,
-            breakdown=breakdown,
-            storage_breakdown=breakdown.copy(),
+            breakdown=priced.breakdown,
+            storage_breakdown=priced.storage,
             storage_meter=meter,
+            record=record,
         )
 
     # ------------------------------------------------------------------

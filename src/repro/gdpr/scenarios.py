@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from ..core.deployment import Deployment
 from ..errors import ComplianceError, MonitorError
 from ..monitor import verify_proof
-from ..sim import Meter, TimeBreakdown
+from ..sim import Meter
+from ..sim.pricing import StorageRecord, price_storage_only
 from ..sql import Database, PagedStore
 from ..sql.parser import parse
 from ..storage import BlockDevice, Pager
@@ -154,12 +155,12 @@ class GDPRWorkbench:
         meter = deployment.storage_engine.fresh_meter()
         result = deployment.storage_engine.db.execute_statement(auth.statement)
         deployment.storage_engine.commit()
-        exec_breakdown = deployment.cost_model.phase_breakdown(
-            meter, platform="arm", cores=1
-        )
-        total = TimeBreakdown()
-        total.merge(monitor_breakdown)
-        total.merge(exec_breakdown)
+        # The request runs whole on the storage node, with no memory limit.
+        total = price_storage_only(
+            deployment.cost_model,
+            StorageRecord(whole=meter, monitor=monitor_breakdown),
+            memory=None,
+        ).breakdown
         verify_proof(auth.proof, deployment.monitor.public_key)
         deployment.monitor.finish_session(auth.session.session_id)
         return result, total, auth

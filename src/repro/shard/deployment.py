@@ -39,8 +39,14 @@ from ..core import (
     pruning_for_scan,
 )
 from ..errors import PartitionError
-from ..perf import SessionTask, arbitrate, makespan_ns
-from ..sim import CAT_NETWORK, Meter, TimeBreakdown
+from ..sim import Meter
+from ..sim.pricing import (
+    Portion,
+    PullRecord,
+    StorageRecord,
+    price_host_pull,
+    price_storage_only,
+)
 from ..sql.records import encode_row
 from ..telemetry import (
     NODE_HOST,
@@ -284,12 +290,10 @@ class ShardedDeployment(Deployment):
         host_meter.bump("shard_scan_fanout", len(targets))
         host_meter.bump("shards_pruned", pruned)
 
-        portion_meters: list[Meter] = []
-        node_walls: list[float] = []
-        storage_meter = Meter()
+        portions: list[Portion] = []
+        portion_spans = []
         partial_rows: list[tuple] = []
         partial_columns: list[str] | None = None
-        partial_bytes = 0
         with self.tracer.span(
             SPAN_STORAGE_PHASE, node=NODE_STORAGE, enclave=self.armv9_realms,
             portions=len(targets), shards=self.shards,
@@ -301,7 +305,6 @@ class ShardedDeployment(Deployment):
             for target in targets:
                 node = self.nodes[target]
                 meter = node.engine.fresh_meter()
-                portion_meters.append(meter)
                 with self.tracer.span(
                     SPAN_NDP_FILTER, node=NODE_STORAGE,
                     enclave=self.armv9_realms,
@@ -309,34 +312,16 @@ class ShardedDeployment(Deployment):
                 ) as portion_span:
                     with self._attributed(node.node_id):
                         result = node.engine.execute_full(split.partial, run_config)
-                breakdown = self.cost_model.phase_breakdown(
-                    meter, platform="arm", cores=1,
-                    memory_limit_bytes=memory, in_realm=self.armv9_realms,
+                portions.append(
+                    Portion(
+                        node=target, meter=meter,
+                        nbytes=sum(len(encode_row(r)) for r in result.rows),
+                    )
                 )
-                node_walls.append(breakdown.total_ns)
-                storage_meter.merge(meter)
+                portion_spans.append(portion_span)
                 partial_columns = result.columns
                 partial_rows.extend(result.rows)
-                partial_bytes += sum(len(encode_row(r)) for r in result.rows)
-                portion_span.set_sim_ns(breakdown.total_ns)
                 portion_span.set_attrs(rows=len(result.rows))
-            slots = arbitrate(
-                [SessionTask(i, wall) for i, wall in enumerate(node_walls)],
-                max(1, len(self.nodes)),
-            )
-            storage_wall_ns = makespan_ns(slots)
-            work = self.cost_model.phase_breakdown(
-                storage_meter, platform="arm", cores=1,
-                memory_limit_bytes=memory, in_realm=self.armv9_realms,
-            )
-            storage_breakdown = (
-                work.scaled(storage_wall_ns / work.total_ns)
-                if work.total_ns > 0 else work
-            )
-            phase_span.set_sim_ns(storage_breakdown.total_ns)
-            phase_span.set_attrs(
-                partial_rows=len(partial_rows), cpus=cpus, shards=self.shards
-            )
 
         # Host-side final: fold the shipped partials inside the enclave.
         host_meter.bump("partial_aggs_merged", len(partial_rows))
@@ -357,35 +342,35 @@ class ShardedDeployment(Deployment):
                 result = self.host_engine.run(split.final)
         finally:
             self.host_engine.end_session()
-        host_breakdown = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=True
-        )
-        merge_span.set_sim_ns(host_breakdown.total_ns)
-        merge_span.set_attrs(rows=len(result.rows))
 
-        total = TimeBreakdown()
-        total.merge(storage_breakdown)
+        record = StorageRecord(
+            in_realm=self.armv9_realms, portions=portions, final=host_meter
+        )
+        priced = price_storage_only(self.cost_model, record, memory=memory)
+        for portion_span, slot in zip(portion_spans, priced.portions):
+            portion_span.set_sim_ns(slot.duration_ns)
+        phase_span.set_sim_ns(priced.storage.total_ns)
+        phase_span.set_attrs(
+            partial_rows=len(partial_rows), cpus=cpus, shards=self.shards
+        )
+        merge_span.set_sim_ns(priced.host.total_ns)
+        merge_span.set_attrs(rows=len(result.rows))
+        partial_bytes = sum(p.nbytes for p in portions)
         if targets:
             # Partials only exist once the scans finish: their transfer
             # cannot overlap the storage phase.
-            transfer_ns = self.cost_model.net_transfer_ns(
-                partial_bytes, messages=max(1, len(targets))
+            self._priced_event(
+                SPAN_CHANNEL_TRANSFER, priced.transfer_ns, node=NODE_NETWORK,
+                bytes=partial_bytes,
             )
-            total.add(CAT_NETWORK, transfer_ns)
-            span = self.tracer.event(
-                SPAN_CHANNEL_TRANSFER, node=NODE_NETWORK, bytes=partial_bytes
-            )
-            if span is not None:
-                span.set_sim_ns(transfer_ns)
-        total.merge(host_breakdown)
         return RunResult(
             config="sos",
             columns=result.columns,
             rows=result.rows,
-            breakdown=total,
-            storage_breakdown=storage_breakdown,
-            host_breakdown=host_breakdown,
-            storage_meter=storage_meter,
+            breakdown=priced.breakdown,
+            storage_breakdown=priced.storage,
+            host_breakdown=priced.host,
+            storage_meter=record.storage_meter(),
             host_meter=host_meter,
             bytes_shipped=partial_bytes,
             plan_notes=[
@@ -393,7 +378,7 @@ class ShardedDeployment(Deployment):
                 f"{len(targets)}/{self.shards} shards scanned, "
                 f"{len(partial_rows)} partial rows merged host-side"
             ],
-            portion_meters=portion_meters,
+            record=record,
         )
 
     # -- host-only (hons / hos): the host pulls pages from every shard ----
@@ -404,8 +389,7 @@ class ShardedDeployment(Deployment):
             return super()._run_host_only(statement, secure, run_config)
         plan = self.partitioner.partition(statement)
         host_meter = self.host_engine.fresh_meter()
-        fetch_breakdown = TimeBreakdown()
-        portion_meters: list[Meter] = []
+        portions: list[Portion] = []
         self.host_engine.begin_session(run_config)
         try:
             with self.tracer.span(
@@ -431,42 +415,36 @@ class ShardedDeployment(Deployment):
                         )
                     if secure:
                         self._charge_enclave_paging(meter, pager)
-                    portion_meters.append(meter)
                     # The host is one machine pulling remote pages shard after
                     # shard: the fetches serialize (this is exactly why the
                     # optimizer steers large scans away from host-only).
-                    fetch_breakdown.merge(
-                        self.cost_model.phase_breakdown(
-                            meter, platform="x86", in_enclave=secure, remote_io=True
-                        )
-                    )
+                    portions.append(Portion(node=index, meter=meter))
                 with self.tracer.span(
                     SPAN_HOST_JOIN_AGG, node=NODE_HOST, enclave=secure
                 ) as host_span:
                     result = self.host_engine.run(statement)
         finally:
             self.host_engine.end_session()
-        host_exec = self.cost_model.phase_breakdown(
-            host_meter, platform="x86", in_enclave=secure
-        )
-        host_span.set_sim_ns(host_exec.total_ns)
+        record = PullRecord(secure=secure, host_meter=host_meter, portions=portions)
+        priced = price_host_pull(self.cost_model, record)
+        host_span.set_sim_ns(priced.join.total_ns)
         host_span.set_attrs(rows=len(result.rows))
-        total = fetch_breakdown.copy().merge(host_exec)
-        exec_span.set_sim_ns(total.total_ns)
+        exec_span.set_sim_ns(priced.breakdown.total_ns)
         exec_span.set_attrs(
             rows=len(result.rows),
-            pages_read=sum(m.pages_read for m in portion_meters),
+            pages_read=sum(p.meter.pages_read for p in portions),
         )
-        for meter in portion_meters:
-            host_meter.merge(meter)
+        merged = host_meter.copy()
+        for portion in portions:
+            merged.merge(portion.meter)
         return RunResult(
             config="hos" if secure else "hons",
             columns=result.columns,
             rows=result.rows,
-            breakdown=total,
-            host_breakdown=total.copy(),
-            host_meter=host_meter,
-            portion_meters=portion_meters,
+            breakdown=priced.breakdown,
+            host_breakdown=priced.host,
+            host_meter=merged,
+            record=record,
             plan_notes=[
                 f"host-side pull of {len(plan.scans)} filtered table scans "
                 f"from {self.shards} shards (serialized on the host)"

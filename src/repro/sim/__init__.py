@@ -1,4 +1,5 @@
-"""Deterministic simulation substrate: clock, meters, cost model, network.
+"""Deterministic simulation substrate: clock, meters, cost model, network,
+and the pricing that turns a run's counts into its time (:mod:`.pricing`).
 
 The reproduction cannot run on the paper's hardware (SGX host + TrustZone
 storage server), so every performance-relevant effect is modelled here and

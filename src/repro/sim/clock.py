@@ -118,11 +118,3 @@ class SimClock:
             raise ValueError("cannot charge negative time")
         self._now_ns += ns
         self.breakdown.add(category, ns)
-
-    def charge_breakdown(self, breakdown: TimeBreakdown) -> None:
-        """Advance time by a whole pre-computed breakdown."""
-        for category, ns in breakdown.by_category.items():
-            self.charge(ns, category)
-
-    def elapsed_since(self, mark_ns: float) -> float:
-        return self._now_ns - mark_ns

@@ -243,9 +243,6 @@ class CostModel:
             return 0.0
         return 1.0 - self.epc_limit_bytes / working_set_bytes
 
-    def epc_paging_ns(self, page_accesses: float, working_set_bytes: int) -> float:
-        return self.epc_fault_fraction(working_set_bytes) * page_accesses * self.epc_fault_ns
-
     # ------------------------------------------------------------------
     # Composite: turn a phase meter into a TimeBreakdown
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ..errors import ChannelError
 from .clock import CAT_NETWORK, SimClock
 from .costmodel import CostModel
 from .meter import Meter
+from .pricing import message_ns
 
 
 @dataclass
@@ -70,9 +71,7 @@ class NetworkLink:
             meter.bytes_sent += len(payload)
             meter.messages_sent += 1
         if charge_time:
-            self.clock.charge(
-                self.cost_model.net_transfer_ns(len(payload)), CAT_NETWORK
-            )
+            self.clock.charge(message_ns(self.cost_model, len(payload)), CAT_NETWORK)
 
     def receive(self, recipient: str, meter: Meter | None = None) -> tuple[str, bytes]:
         """Pop the oldest message addressed to *recipient*."""

@@ -1,4 +1,4 @@
-"""Streaming ship pipeline: bounded record batches, overlap accounting.
+"""Streaming ship pipeline: bounded record batches on the wire.
 
 The paper's central performance claim (§6, Figures 7/9/11) is that a CSA
 wins by shrinking data movement and overlapping near-data filtering with
@@ -11,13 +11,13 @@ our materialize-then-ship path into that streamed flow:
   storage-side working set is one batch instead of the whole result.
 * :func:`pack_frame` / :func:`unpack_frame` — the one-byte tag that marks
   a frame as a batch before it enters the channel.
-* :class:`BatchTiming` / :func:`pipelined_ns` — the deterministic
-  three-stage (storage scan → channel crypto → host ingest) pipeline
-  model: per batch the deployment charges the *overlap* of the stages
-  instead of their sum.
+
+What the overlap of the three stages (storage scan → channel crypto →
+host ingest) costs is priced with everything else, in
+:mod:`repro.sim.pricing`.
 
 Layering: like ``repro.perf``, this package is policy rather than
-security — it handles encoded rows and simulated durations only.  It may
+security — it handles encoded rows only.  It may
 import ``errors``, ``sim`` and the record wire format (ARCH005 pins the
 ``repro.sql`` surface to ``repro.sql.records``), so the transport layer
 is structurally incapable of reaching into the query engine or crypto.
@@ -31,13 +31,6 @@ from .batching import (
     pack_frame,
     unpack_frame,
 )
-from .pipeline import (
-    BatchTiming,
-    apportion_ns,
-    overlap_saved_ns,
-    pipelined_ns,
-    serial_stage_ns,
-)
 
 #: Counters this layer bumps on the owning phase's Meter.  Registered so
 #: the telemetry registry absorbs them as first-class ``meter.<name>``
@@ -50,14 +43,9 @@ del _name
 
 __all__ = [
     "BatchAssembler",
-    "BatchTiming",
     "DEFAULT_BATCH_BYTES",
     "EncodedBatch",
     "STREAM_COUNTERS",
-    "apportion_ns",
-    "overlap_saved_ns",
     "pack_frame",
-    "pipelined_ns",
-    "serial_stage_ns",
     "unpack_frame",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark harness: recosting consistency and table formatting."""
+"""Benchmark harness: re-pricing a recorded run, and table formatting."""
 
 from __future__ import annotations
 
@@ -9,12 +9,18 @@ from repro.bench import (
     format_table,
     geomean,
     overhead_breakdown,
-    recost_split,
     run_tpch_suite,
     scaled_epc_limit,
-    storage_portion_ms,
 )
+from repro.core import RunConfig
+from repro.shard import ShardedDeployment
+from repro.sim import MIB, PAGE_SIZE
+from repro.sim.pricing import price_split
 from repro.tpch import ALL_QUERIES
+
+#: Fig 11's storage memory points, scaled like its bench does.
+FIG11_MIB = (128, 256, 2048)
+PAPER_SF3_BYTES = 3.2e9
 
 
 @pytest.fixture(scope="module")
@@ -31,36 +37,16 @@ class TestHarness:
             assert q.ms("hons") > 0 and q.ms("scs") > 0
             assert q.speedup("hons", "scs") == q.ms("hons") / q.ms("scs")
 
-    def test_recost_matches_recorded_at_same_knobs(self, tiny_deployment, suite):
-        """Recosting with the deployment's own knobs reproduces the
-        recorded total (the sweep benches rely on this)."""
-        for q in suite:
-            recorded = q.ms("scs")
-            recosted = recost_split(
-                q.runs["scs"],
-                tiny_deployment.cost_model,
-                cpus=tiny_deployment.storage_cpus,
-                memory_bytes=tiny_deployment.storage_memory_bytes,
-            )
-            assert recosted == pytest.approx(recorded, rel=0.02)
-
     def test_recost_monotone_in_cpus(self, tiny_deployment, suite):
         q3 = next(q for q in suite if q.number == 3)
         times = [
-            recost_split(
-                q3.runs["scs"], tiny_deployment.cost_model,
-                cpus=c, memory_bytes=tiny_deployment.storage_memory_bytes,
-            )
+            price_split(
+                tiny_deployment.cost_model, q3.runs["scs"].record,
+                cpus=c, memory=tiny_deployment.storage_memory_bytes,
+            ).breakdown.total_ms
             for c in (1, 2, 4, 8)
         ]
         assert times == sorted(times, reverse=True)
-
-    def test_storage_portion_positive(self, tiny_deployment, suite):
-        for q in suite:
-            assert storage_portion_ms(
-                q.runs["scs"], tiny_deployment.cost_model,
-                memory_bytes=tiny_deployment.storage_memory_bytes,
-            ) > 0
 
     def test_overhead_breakdown_fields(self, tiny_deployment):
         runs = run_tpch_suite(tiny_deployment, ("vcs", "scs"), numbers=[6])
@@ -75,6 +61,71 @@ class TestHarness:
         limit = scaled_epc_limit(59_000_000)
         assert limit == pytest.approx(96_000_000, rel=0.01)
         assert scaled_epc_limit(0) == 4096  # floor
+
+
+@pytest.fixture(scope="module")
+def sharded2():
+    deployment = ShardedDeployment(shards=2, scale_factor=0.001, seed=11)
+    deployment.attest_all()
+    return deployment
+
+
+def _recorded(result) -> list[dict]:
+    return [dict(b.by_category) for b in (result.breakdown, result.storage_breakdown, result.host_breakdown)]
+
+
+def _repriced(priced) -> list[dict]:
+    return [dict(b.by_category) for b in (priced.breakdown, priced.storage, priced.host)]
+
+
+class TestRepricing:
+    """Figs 10/11 re-price a recorded split run instead of re-running it.
+
+    That is only sound if re-pricing *is* re-running: execution never reads
+    the storage CPU count or memory limit, so the same counts priced at
+    other knobs must give exactly what a real run at those knobs charges.
+    """
+
+    CASES = [
+        (number, config, pipeline)
+        for number in (3, 6)
+        for config in ("scs", "vcs")
+        for pipeline in (False, True)
+    ]
+
+    @pytest.fixture(params=["single", "sharded2"])
+    def deployment(self, request, tiny_deployment):
+        return tiny_deployment if request.param == "single" else request.getfixturevalue("sharded2")
+
+    def test_repricing_at_own_knobs_reproduces_every_breakdown(self, deployment):
+        for number, config, pipeline in self.CASES:
+            result = deployment.run_query(
+                ALL_QUERIES[number].sql, config, run_config=RunConfig(pipeline=pipeline)
+            )
+            priced = price_split(
+                deployment.cost_model, result.record,
+                cpus=deployment.storage_cpus, memory=deployment.storage_memory_bytes,
+            )
+            assert _repriced(priced) == _recorded(result), (number, config, pipeline)
+
+    def test_repricing_equals_rerunning_at_other_knobs(self, deployment):
+        ratio = deployment.secure_device.num_pages * PAGE_SIZE / PAPER_SF3_BYTES
+        knobs = [(cpus, deployment.storage_memory_bytes) for cpus in (1, 2, 4)]
+        knobs += [(16, max(PAGE_SIZE, int(mib * MIB * ratio))) for mib in FIG11_MIB]
+        for number, config, pipeline in self.CASES:
+            sql, run_config = ALL_QUERIES[number].sql, RunConfig(pipeline=pipeline)
+            recorded = deployment.run_query(sql, config, run_config=run_config)
+            for cpus, memory in knobs:
+                rerun = deployment.run_query(
+                    sql, config, run_config=run_config,
+                    storage_cpus=cpus, storage_memory_bytes=memory,
+                )
+                priced = price_split(
+                    deployment.cost_model, recorded.record, cpus=cpus, memory=memory
+                )
+                assert _repriced(priced) == _recorded(rerun), (
+                    number, config, pipeline, cpus, memory
+                )
 
 
 class TestFormatting:

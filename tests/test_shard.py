@@ -409,26 +409,31 @@ class TestAutoStrategy:
         )
         assert got.config in PLAIN_CLASS
 
-    def test_auto_matches_or_beats_manual(self, sharded2):
+    def test_auto_matches_or_beats_manual(self, request):
         # pipeline=False on both sides: manual runs default to the serial
-        # ship path, so auto must be compared on the same one.
-        for sql in (DECOMPOSABLE_AGG, SHAPED_QUERIES["group-agg"]):
-            auto = sharded2.run_auto(
-                sql, "scs", run_config=RunConfig(pipeline=False)
-            )
-            manual = {}
-            for cfg in SECURE_CLASS:
-                try:
-                    manual[cfg] = sharded2.run_query(sql, cfg).total_ms
-                except PartitionError:
-                    continue  # sos can't run non-decomposable queries
-            # The auto run *is* the chosen manual run, to the simulated ns.
-            assert auto.total_ms == manual[auto.config]
-            best = min(manual.values())
-            assert auto.total_ms <= best * 1.001, (
-                f"auto chose {auto.config} at {auto.total_ms:.3f}ms, "
-                f"best manual is {best:.3f}ms ({manual})"
-            )
+        # ship path, so auto must be compared on the same one.  On one
+        # node the joins are what an sos candidate that priced only the
+        # scans got wrong (Q21: sos 55.85 ms against scs 22.61 ms).
+        joins = [ALL_QUERIES[number].sql for number in (3, 5, 18, 21)]
+        for shards in (1, 2):
+            deployment = _pick(request, shards)
+            for sql in (DECOMPOSABLE_AGG, SHAPED_QUERIES["group-agg"], *joins):
+                auto = deployment.run_auto(
+                    sql, "scs", run_config=RunConfig(pipeline=False)
+                )
+                manual = {}
+                for cfg in SECURE_CLASS:
+                    try:
+                        manual[cfg] = deployment.run_query(sql, cfg).total_ms
+                    except PartitionError:
+                        continue  # sos can't run non-decomposable queries
+                # The auto run *is* the chosen manual run, to the simulated ns.
+                assert auto.total_ms == manual[auto.config]
+                best = min(manual.values())
+                assert auto.total_ms <= best * 1.001, (
+                    f"{shards} shard(s): auto chose {auto.config} at "
+                    f"{auto.total_ms:.3f}ms, best manual is {best:.3f}ms ({manual})"
+                )
 
     def test_prediction_recorded_in_telemetry(self, sharded2):
         tracer = sharded2.enable_tracing()

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.core import RunConfig, SERIAL_RUN_CONFIG
+from repro.sim.pricing import BatchTiming, apportion_ns, pipelined_ns
 from repro.errors import IronSafeError, StorageError, StreamError
 from repro.sql.records import (
     MAX_BATCH_ROWS,
@@ -18,16 +19,7 @@ from repro.sql.records import (
     encode_batch,
     encode_row,
 )
-from repro.stream import (
-    BatchAssembler,
-    BatchTiming,
-    apportion_ns,
-    overlap_saved_ns,
-    pack_frame,
-    pipelined_ns,
-    serial_stage_ns,
-    unpack_frame,
-)
+from repro.stream import BatchAssembler, pack_frame, unpack_frame
 
 SQL = (
     "SELECT l_orderkey, l_partkey, l_quantity, l_extendedprice, l_shipdate "
@@ -218,18 +210,22 @@ class TestCompressFraming:
 # ---------------------------------------------------------------------------
 
 
+def _serial_ns(timings) -> float:
+    return sum(t.serial_ns for t in timings)
+
+
 class TestPipelineModel:
     def test_single_batch_is_serial(self):
         t = [BatchTiming(10.0, 5.0, 3.0)]
-        assert pipelined_ns(t) == serial_stage_ns(t) == 18.0
+        assert pipelined_ns(t) == _serial_ns(t) == 18.0
 
     def test_bottleneck_stage_dominates(self):
         timings = [BatchTiming(10.0, 1.0, 2.0) for _ in range(100)]
         makespan = pipelined_ns(timings)
-        assert makespan < serial_stage_ns(timings)
+        assert makespan < _serial_ns(timings)
         # Steady state: scan is the bottleneck; tail adds one ship+ingest.
         assert makespan == pytest.approx(100 * 10.0 + 1.0 + 2.0)
-        assert overlap_saved_ns(timings) == pytest.approx(99 * 3.0)
+        assert _serial_ns(timings) - makespan == pytest.approx(99 * 3.0)
 
     def test_never_faster_than_any_stage_sum(self):
         rng = random.Random(99)
@@ -240,7 +236,7 @@ class TestPipelineModel:
         makespan = pipelined_ns(timings)
         for stage in ("scan_ns", "ship_ns", "ingest_ns"):
             assert makespan >= sum(getattr(t, stage) for t in timings)
-        assert makespan <= serial_stage_ns(timings)
+        assert makespan <= _serial_ns(timings)
 
     def test_apportion_conserves_total(self):
         shares = apportion_ns(100.0, [1, 2, 7])
